@@ -193,18 +193,76 @@ def _simplex_grid(m: int, step: float = ADAPTIVE_GRID_STEP):
         yield np.array(combo, dtype=np.float64) / ticks
 
 
+def _class_sums(probs: np.ndarray, weight_matrix: np.ndarray) -> np.ndarray:
+    """Per-class weighted sum of member probabilities, shape (samples, classes)."""
+    return np.einsum("cm,mnc->nc", weight_matrix, probs)
+
+
 def adaptive_accuracy(
     probs: np.ndarray, weight_matrix: np.ndarray, labels: np.ndarray
 ) -> float:
     """Probe accuracy of the per-class weighted probability average."""
-    avg = np.einsum("cm,mnc->nc", weight_matrix, probs)
-    return float(np.mean(avg.argmax(axis=1) == labels))
+    return float(np.mean(_class_sums(probs, weight_matrix).argmax(axis=1) == labels))
 
 
 def adaptive_average(probs: np.ndarray, weight_matrix: np.ndarray) -> np.ndarray:
     """Per-class weighted average, renormalized to a valid probability matrix."""
-    avg = np.einsum("cm,mnc->nc", weight_matrix, probs)
+    avg = _class_sums(probs, weight_matrix)
     return avg / avg.sum(axis=1, keepdims=True)
+
+
+# Grid rows scored per numpy pass: bounds the (rows x samples) temporaries of
+# the weight search, whose grid has 10,626 rows at five members.
+_GRID_BLOCK_ROWS = 256
+
+
+def _candidate_columns(rows: np.ndarray, class_probs: np.ndarray) -> np.ndarray:
+    """Weighted sums ``rows @ class_probs`` with the rounding of ``_class_sums``.
+
+    Accumulates member by member, as einsum does, so every value matches
+    the corresponding entry of ``_class_sums`` bit for bit; a BLAS matmul
+    may add in another order.
+    """
+    out = rows[:, :1] * class_probs[0]
+    for k in range(1, class_probs.shape[0]):
+        out += rows[:, k : k + 1] * class_probs[k]
+    return out
+
+
+def _grid_correct_counts(
+    grid: np.ndarray,
+    probs: np.ndarray,
+    sums: np.ndarray,
+    labels: np.ndarray,
+    cls: int,
+) -> np.ndarray:
+    """Correct probe predictions with each grid row as class ``cls``'s weights.
+
+    Only column ``cls`` of ``sums`` varies across the grid. argmax takes the
+    first maximum, so a sample is predicted ``cls`` exactly when the
+    candidate beats every earlier column and matches every later one;
+    otherwise its prediction is the argmax of the fixed other columns. Only
+    samples labelled ``cls``, or already right without it, can be correct.
+    """
+    left = sums[:, :cls].max(axis=1, initial=-np.inf)
+    right = sums[:, cls + 1 :].max(axis=1, initial=-np.inf)
+    others = np.delete(sums, cls, axis=1).argmax(axis=1)
+    others += others >= cls
+    hit = np.flatnonzero(labels == cls)
+    kept = np.flatnonzero(others == labels)
+    samples = np.concatenate([hit, kept])
+    class_probs = probs[:, samples, cls]
+    left, right = left[samples], right[samples]
+    counts = np.empty(grid.shape[0], dtype=np.int64)
+    for start in range(0, grid.shape[0], _GRID_BLOCK_ROWS):
+        cand = _candidate_columns(grid[start : start + _GRID_BLOCK_ROWS], class_probs)
+        wins = (cand > left) & (cand >= right)
+        counts[start : start + cand.shape[0]] = (
+            kept.size
+            + wins[:, : hit.size].sum(axis=1)
+            - wins[:, hit.size :].sum(axis=1)
+        )
+    return counts
 
 
 def optimize_adaptive_weights(
@@ -214,34 +272,44 @@ def optimize_adaptive_weights(
 
     Coordinate ascent over one class row at a time on a 0.05-resolution
     simplex grid, starting from uniform weights, in deterministic sweep
-    order; a row changes only when it strictly improves probe accuracy, so
-    the result never scores below uniform.
+    order; a row changes only when it strictly improves probe accuracy
+    (the first best grid row wins), so the result never scores below
+    uniform.
+
+    Each class is scored against the whole grid at once, in blocks of grid
+    rows, from a running copy of the weighted class sums. The result is
+    the same, bit for bit, as scoring every row with ``adaptive_accuracy``:
+    a candidate column is accumulated member by member with the rounding
+    of einsum, the other columns stay fixed during the trial so the maxima
+    of the columns before and after the class decide the first-index
+    argmax, and accuracies are the same ``count / n`` that ``np.mean``
+    computes.
     """
     if probe.labels is None:
         raise MissingLabels("adaptive weighting needs probe labels")
     probs = member_probabilities(members, probe)
-    m, _, num_classes = probs.shape
-    labels = np.asarray(probe.labels)
+    return _adaptive_weights(probs, np.asarray(probe.labels))
+
+
+def _adaptive_weights(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The search of ``optimize_adaptive_weights`` on a probability stack."""
+    m, n, num_classes = probs.shape
     weights = np.full((num_classes, m), 1.0 / m)
     if m == 1:
         return weights
-    grid = list(_simplex_grid(m))
+    grid = np.array(list(_simplex_grid(m)))
     current = adaptive_accuracy(probs, weights, labels)
+    sums = _class_sums(probs, weights)
     for _ in range(ADAPTIVE_MAX_SWEEPS):
         improved = False
         for cls in range(num_classes):
-            best_row = weights[cls].copy()
-            best_acc = current
-            trial = weights.copy()
-            for row in grid:
-                trial[cls] = row
-                acc = adaptive_accuracy(probs, trial, labels)
-                if acc > best_acc:
-                    best_acc = acc
-                    best_row = row.copy()
-            if best_acc > current:
-                weights[cls] = best_row
-                current = best_acc
+            accs = _grid_correct_counts(grid, probs, sums, labels, cls) / n
+            best = int(np.argmax(accs))
+            if accs[best] > current:
+                weights[cls] = grid[best]
+                column = _candidate_columns(grid[best : best + 1], probs[:, :, cls])
+                sums[:, cls] = column[0]
+                current = float(accs[best])
                 improved = True
         if not improved:
             break

@@ -147,7 +147,10 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def cross_entropy(net: DenseNetwork, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy treating the network output as logits."""
-    logits = net.forward(features)
+    return _logit_cross_entropy(net.forward(features), labels)
+
+
+def _logit_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     y = np.asarray(labels).astype(int)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
@@ -193,7 +196,7 @@ def loss_gradients(
     if loss == "cross_entropy":
         probs = softmax(out)
         y = one_hot(np.asarray(target), net.output_dim)
-        value = cross_entropy(net, x, np.asarray(target))
+        value = _logit_cross_entropy(out, target)
         d_out = (probs - y) / n
     elif loss == "mse":
         t = np.asarray(target, dtype=np.float64)

@@ -27,12 +27,12 @@ from .aggregation import (
     AggregationMethod,
     ModelArtifact,
     ProbeSet,
+    _adaptive_weights,
     adaptive_average,
     aggregate_weighted,
     artifact_probabilities,
     closest_member,
     member_probabilities,
-    optimize_adaptive_weights,
     retrain_pooled,
     train_meta,
 )
@@ -131,10 +131,21 @@ class ScenarioConfig:
             raise ConfigError("device ids must be unique")
         if self.local_epochs < 1 or self.hidden_units < 1:
             raise ConfigError("local_epochs and hidden_units must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be finite and > 0")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if self.max_step_m < 0:
             raise ConfigError("max_step_m must be >= 0")
         if self.mobility_radius_m <= 0:
             raise ConfigError("mobility_radius_m must be > 0")
+        if (
+            self.aggregation is AggregationMethod.RETRAINING
+            and self.kind is ScenarioKind.DBFL_HETEROGENEOUS
+        ):
+            # heads pool latent codes of per-device encoders, so the pooled
+            # model has no input pipeline for the raw base-station probe
+            raise ConfigError("retrain aggregation does not support dbfl_heterogeneous")
         object.__setattr__(self, "devices", tuple(self.devices))
 
 
@@ -170,6 +181,11 @@ def _artifact_payload(artifact: ModelArtifact, reference_params: int) -> float:
 
 def _derive_seed(seed: int, *key) -> int:
     return int(substream(seed, *key).integers(0, 2**63))
+
+
+def _seed_node_key(node_id: int) -> int | str:
+    # substream keys must be non-negative, and the base station's id is -1
+    return "base-station" if node_id == BS_NODE_ID else node_id
 
 
 @dataclass
@@ -451,8 +467,8 @@ class _Run:
             selected, _ = aggregate_weighted(artifacts, probe)
             return _ProbModel(selected, children=models, method=method)
         if method is AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING:
-            weights = optimize_adaptive_weights(artifacts, probe)
             probs = member_probabilities(artifacts, probe)
+            weights = _adaptive_weights(probs, probe.labels)
             selected = closest_member(artifacts, probs, adaptive_average(probs, weights))
             return _ProbModel(selected, children=models, method=method, weights=weights)
         if method is AggregationMethod.META_LEARNING:
@@ -462,7 +478,9 @@ class _Run:
                 num_classes=self.num_classes,
                 learning_rate=0.1,
                 epochs=30,
-                seed=_derive_seed(self.config.seed, "meta", source_id, round_index),
+                seed=_derive_seed(
+                    self.config.seed, "meta", _seed_node_key(source_id), round_index
+                ),
             )
             return _ProbModel(
                 train_meta(artifacts, probe, cfg, source_id=source_id), method=method
@@ -482,7 +500,9 @@ class _Run:
                 learning_rate=self.config.learning_rate,
                 epochs=self.config.local_epochs,
                 batch_size=self.config.batch_size,
-                seed=_derive_seed(self.config.seed, "retrain", source_id, round_index),
+                seed=_derive_seed(
+                    self.config.seed, "retrain", _seed_node_key(source_id), round_index
+                ),
             )
             pooled_artifact = retrain_pooled(
                 pooled, cfg, source_id=source_id, signature=self.cluster_signature

@@ -5,9 +5,12 @@ import pytest
 
 from dfedsim.aggregation import (
     ADAPTIVE_GRID_STEP,
+    ADAPTIVE_MAX_SWEEPS,
     AggregationMethod,
     ModelArtifact,
     ProbeSet,
+    _adaptive_weights,
+    _simplex_grid,
     adaptive_accuracy,
     adaptive_average,
     aggregate_weighted,
@@ -31,6 +34,7 @@ from dfedsim.ml_core import (
     check_probability_matrix,
     glorot_init,
     predict_proba,
+    softmax,
     train_classifier,
 )
 
@@ -202,6 +206,54 @@ def test_adaptive_matches_exhaustive_grid_for_two_members():
             if not improved:
                 break
         assert achieved == current, f"trial {trial}"
+
+
+def _per_row_adaptive_weights(probs, labels):
+    """The search scoring one grid row per adaptive_accuracy call: the oracle
+    for the blockwise grid scoring, kept as the loop it replaced."""
+    m, _, num_classes = probs.shape
+    weights = np.full((num_classes, m), 1.0 / m)
+    if m == 1:
+        return weights
+    grid = list(_simplex_grid(m))
+    current = adaptive_accuracy(probs, weights, labels)
+    for _ in range(ADAPTIVE_MAX_SWEEPS):
+        improved = False
+        for cls in range(num_classes):
+            best_row = weights[cls].copy()
+            best_acc = current
+            trial = weights.copy()
+            for row in grid:
+                trial[cls] = row
+                acc = adaptive_accuracy(probs, trial, labels)
+                if acc > best_acc:
+                    best_acc = acc
+                    best_row = row.copy()
+            if best_acc > current:
+                weights[cls] = best_row
+                current = best_acc
+                improved = True
+        if not improved:
+            break
+    return weights
+
+
+def test_grid_scoring_matches_the_per_row_search_bit_for_bit():
+    rng = np.random.default_rng(614)
+    for trial in range(201):
+        # four members span several grid blocks, but their 1771-row grid
+        # makes the oracle slow, so they come rarer and with smaller probes
+        m = 4 if trial % 25 == 0 else 2 + trial % 2
+        classes = 9 if rng.random() < 1 / 3 else 3
+        n = int(np.exp(rng.uniform(np.log(25), np.log(201 if m == 4 else 701))))
+        logits = rng.normal(scale=rng.uniform(0.5, 3.0), size=(m, n, classes))
+        if trial % 3 == 0:
+            logits = np.round(logits)  # equal logits force argmax ties
+        probs = np.stack([softmax(z) for z in logits])
+        labels = rng.integers(0, classes, size=n)
+        expected = _per_row_adaptive_weights(probs, labels)
+        got = _adaptive_weights(probs, labels)
+        assert got.tobytes() == expected.tobytes(), f"trial {trial}"
 
 
 def test_adaptive_requires_labels():

@@ -239,6 +239,23 @@ def test_config_errors_exit_one(tmp_path, capsys):
         assert err.startswith("dfedsim: config:"), argv
 
 
+def test_bad_training_hyperparameters_exit_one_with_one_line(tmp_path, capsys):
+    # rejected while the config is built, before any round can fail
+    for extra in (
+        {"learning_rate": 0},
+        {"learning_rate": -0.05},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"batch_size": 0},
+    ):
+        cfg = write_config(tmp_path, extra=extra)
+        code = run_cli(["run", "--scenario", "cvfl", "--config", cfg,
+                        "--out", str(tmp_path / "out")])
+        assert code == 1, extra
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("dfedsim: config:"), extra
+
+
 def test_data_errors_exit_two(tmp_path, capsys):
     cfg = write_config(tmp_path)
     narrow = tmp_path / "narrow.csv"

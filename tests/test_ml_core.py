@@ -79,6 +79,17 @@ def test_gradients_match_finite_differences():
         assert grads_close(analytic, numeric_grads(net, x, labels, "cross_entropy")), trial
 
 
+def test_cross_entropy_gradient_loss_equals_cross_entropy_exactly():
+    rng = np.random.default_rng(503)
+    for trial in range(12):
+        net = random_net(rng)
+        n = int(rng.integers(1, 40))
+        x = rng.normal(size=(n, net.input_dim))
+        labels = rng.integers(0, net.output_dim, size=n)
+        _, value = loss_gradients(net, x, labels, loss="cross_entropy")
+        assert value == cross_entropy(net, x, labels), trial
+
+
 def test_mse_gradients_match_finite_differences():
     rng = np.random.default_rng(502)
     for trial in range(12):

@@ -9,6 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dfedsim.aggregation import AggregationMethod
 from dfedsim.data import DataPlan, PartitionPlan
 from dfedsim.errors import ConfigError
 from dfedsim.scenarios import (
@@ -228,11 +229,28 @@ def test_config_validation():
         small_config(ScenarioKind.CVFL, max_step_m=-0.5)
     with pytest.raises(ConfigError):
         small_config(ScenarioKind.CVFL, mobility_radius_m=0.0)
+    for rate in (0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            small_config(ScenarioKind.CVFL, learning_rate=rate)
+    with pytest.raises(ConfigError):
+        small_config(ScenarioKind.CVFL, batch_size=0)
     devs = default_devices()
     with pytest.raises(ConfigError):
         ScenarioConfig(kind=ScenarioKind.CVFL, devices=devs + (devs[0],))
     with pytest.raises(ValueError):
         RoundTrace(0, (), None, (), accuracy=1.5, energy_spent={}, link_delays=())
+
+
+@pytest.mark.parametrize("method", list(AggregationMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_every_method_and_scenario_finishes_or_fails_at_config_time(kind, method):
+    if method is AggregationMethod.RETRAINING and kind is ScenarioKind.DBFL_HETEROGENEOUS:
+        with pytest.raises(ConfigError):
+            small_config(kind, rounds=1, aggregation=method)
+        return
+    (trace,) = run_scenario(small_config(kind, rounds=1, aggregation=method))
+    assert trace.participants
+    assert 0.0 <= trace.accuracy <= 1.0
 
 
 def test_accuracy_climbs_on_an_easy_task():
