@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .aggregation import AggregationMethod
 from .clustering import ClusterPolicy
-from .data import DataPlan, DatasetSchema, PartitionPlan, gen_ring_sectors, gen_synthetic, write_csv
+from .data import DataPlan, DatasetSchema, PartitionPlan, _generate, write_csv
 from .energy import EnergyParams
 from .errors import (
     ConfigError,
@@ -41,7 +41,7 @@ from .scenarios import (
     RoundTrace,
     ScenarioConfig,
     ScenarioKind,
-    delay_sweep,
+    _sweep_configs,
     run_scenario,
     total_energy,
 )
@@ -290,27 +290,21 @@ def _cmd_sweep(args) -> int:
         delays = [float(v) for v in args.delay_sweep.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"--delay-sweep must be comma-separated numbers, got {args.delay_sweep!r}")
-    if not delays or any(d <= 0 for d in delays):
-        raise ConfigError("--delay-sweep needs at least one positive delay")
+    points = _sweep_configs(base, delays)
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
 
-    configs = []
-    for delay in delays:
-        link = dataclasses.replace(base.link, delay_per_meter_s=delay)
-        for kind in ScenarioKind:
-            configs.append((delay, kind, dataclasses.replace(base, kind=kind, link=link)))
-
+    configs = [config for _, _, config in points]
     if args.jobs == 1:
-        totals = [_sweep_total(c) for _, _, c in configs]
+        totals = [_sweep_total(c) for c in configs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            totals = list(pool.map(_sweep_total, [c for _, _, c in configs]))
+            totals = list(pool.map(_sweep_total, configs))
 
     out = Path(args.out)
     rows = [
         [_format(delay), kind.value, _format(total)]
-        for (delay, kind, _), total in zip(configs, totals)
+        for (delay, kind, _), total in zip(points, totals)
     ]
     sweep_path = out / "sweep.csv"
     _write_rows(sweep_path, SWEEP_HEADER, rows)
@@ -331,25 +325,7 @@ def _cmd_gen_data(args) -> int:
         samples = (
             len(config.devices) * plan.partition.samples_per_device + plan.test_samples
         )
-    if plan.task == "sectors":
-        features, labels = gen_ring_sectors(
-            plan.schema,
-            samples,
-            seed=config.seed,
-            sectors=plan.sectors,
-            spread=plan.spread,
-            latent_factors=plan.latent_factors,
-            center_scale=plan.center_scale,
-        )
-    else:
-        features, labels = gen_synthetic(
-            plan.schema,
-            samples,
-            seed=config.seed,
-            spread=plan.spread,
-            latent_factors=plan.latent_factors,
-            center_scale=plan.center_scale,
-        )
+    features, labels = _generate(plan, samples, config.seed)
     out = Path(args.out)
     data_path = out / "dataset.csv"
     out.mkdir(parents=True, exist_ok=True)

@@ -126,51 +126,6 @@ def _group_devices(
     return [groups[key] for key in sorted(groups)]
 
 
-def _solve_seed_set(
-    seed_ids: tuple[int, ...],
-    rest: list[int],
-    dist: dict[tuple[int, int], float],
-    in_range: dict[tuple[int, int], bool],
-    max_size: int,
-) -> tuple[int, float, dict[int, int]] | None:
-    """Optimal capacitated assignment of ``rest`` onto the given seeds.
-
-    Returns (isolated count, total distance, anchor map for rest) with the
-    minimum-isolation assignment of minimum distance, or None when the
-    solver cannot produce one (never happens: isolation is always open).
-    Anchor map values are seed ids, or the device's own id when isolated.
-    """
-    slots_per_seed = max_size - 1
-    seed_cols = [s for s in seed_ids for _ in range(slots_per_seed)]
-    n = len(rest)
-    if n == 0:
-        return 0, 0.0, {}
-
-    max_dist = max((dist[(r, s)] for r in rest for s in seed_ids), default=0.0)
-    penalty = (n + 1) * (max_dist + 1.0)
-
-    cost = np.full((n, len(seed_cols) + n), np.inf)
-    for i, r in enumerate(rest):
-        for j, s in enumerate(seed_cols):
-            if in_range[(r, s)]:
-                cost[i, j] = dist[(r, s)]
-        cost[i, len(seed_cols) + i] = penalty
-
-    rows, cols = linear_sum_assignment(cost)
-    anchors: dict[int, int] = {}
-    isolated = 0
-    total = 0.0
-    for i, j in zip(rows, cols):
-        r = rest[i]
-        if j >= len(seed_cols):
-            anchors[r] = r
-            isolated += 1
-        else:
-            anchors[r] = seed_cols[j]
-            total += cost[i, j]
-    return isolated, total, anchors
-
-
 def _lex_fix(
     seed_ids: tuple[int, ...],
     rest: list[int],
@@ -201,12 +156,9 @@ def _lex_fix(
                 cand_capacity = dict(capacity)
                 cand_capacity[candidate] -= 1
             seeds_left = tuple(s for s in seed_ids if cand_capacity[s] >= 0)
-            sub = _solve_seed_set_with_capacity(
+            sub_iso, sub_dist, _ = _solve_seed_set_with_capacity(
                 seeds_left, remaining, dist, in_range, cand_capacity
             )
-            if sub is None:
-                continue
-            sub_iso, sub_dist, _ = sub
             if cand_iso + sub_iso == iso_left and _dist_tie(
                 cand_dist + sub_dist, dist_left
             ):
@@ -216,11 +168,10 @@ def _lex_fix(
                 dist_left -= cand_dist
                 break
         if chosen is None:  # numerically drifted; fall back to any optimum
-            sub = _solve_seed_set_with_capacity(
+            _, _, anchors = _solve_seed_set_with_capacity(
                 tuple(seed_ids), rest[pos:], dist, in_range, capacity
             )
-            assert sub is not None
-            fixed.update(sub[2])
+            fixed.update(anchors)
             return fixed
         fixed[r] = chosen
     return fixed
@@ -232,7 +183,15 @@ def _solve_seed_set_with_capacity(
     dist: dict[tuple[int, int], float],
     in_range: dict[tuple[int, int], bool],
     capacity: dict[int, int],
-) -> tuple[int, float, dict[int, int]] | None:
+) -> tuple[int, float, dict[int, int]]:
+    """Optimal capacitated assignment of ``rest`` onto the given seeds.
+
+    ``capacity`` maps each seed to the members it can still take. Returns
+    (isolated count, total distance, anchor map for rest) with the
+    minimum-isolation assignment of minimum distance; isolation is always
+    open, so an assignment always exists. Anchor map values are seed ids,
+    or the device's own id when isolated.
+    """
     seed_cols = [s for s in seed_ids for _ in range(capacity[s])]
     n = len(rest)
     if n == 0:
@@ -284,14 +243,13 @@ def _solve_group(
             )
 
     best: tuple[int, int, float, tuple[int, ...]] | None = None
-    best_anchors: dict[int, int] | None = None
+    best_anchors: dict[int, int] = {}
     for k in range(1, len(seeds_avail) + 1):
         for seed_ids in itertools.combinations(seeds_avail, k):
             rest = [d for d in ids if d not in seed_ids]
-            solved = _solve_seed_set(seed_ids, rest, dist, in_range, max_size)
-            if solved is None:
-                continue
-            iso, total, anchors = solved
+            iso, total, anchors = _solve_seed_set_with_capacity(
+                seed_ids, rest, dist, in_range, {s: max_size - 1 for s in seed_ids}
+            )
             coarse = (iso, k, total)
             if best is not None:
                 b_iso, b_k, b_total, _ = best
@@ -308,7 +266,6 @@ def _solve_group(
             if best is None or _objective_less(candidate, best):
                 best = candidate
                 best_anchors = full
-    assert best_anchors is not None
     return best_anchors
 
 

@@ -411,3 +411,25 @@ class DataPlan:
             raise ValueError("probe_fraction must lie strictly between 0 and 1")
         if self.ae_epochs < 0 or self.ae_learning_rate <= 0:
             raise ValueError("bad autoencoder training settings")
+
+
+def _generate(plan: DataPlan, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``samples`` rows of the plan's synthetic task."""
+    if plan.task == "sectors":
+        return gen_ring_sectors(
+            plan.schema,
+            samples,
+            seed=seed,
+            sectors=plan.sectors,
+            spread=plan.spread,
+            latent_factors=plan.latent_factors,
+            center_scale=plan.center_scale,
+        )
+    return gen_synthetic(
+        plan.schema,
+        samples,
+        seed=seed,
+        spread=plan.spread,
+        latent_factors=plan.latent_factors,
+        center_scale=plan.center_scale,
+    )

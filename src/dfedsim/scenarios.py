@@ -1,17 +1,34 @@
 """End-to-end simulation of the three experiment scenarios.
 
-One run is a sequential state machine over communication rounds: mobile
-devices step, connectivity is re-evaluated, clusters and heads refresh on
-the head-policy cadence, devices train locally (through their autoencoder
-in the heterogeneous case), heads aggregate their cluster, the base
-station aggregates the heads, and the energy ledger is charged. The
-conventional variant (CVFL) skips clustering entirely: only devices whose
-base-station delay clears the cutoff contribute, and the devices shut out
-of the round still burn transmission attempts toward the far-away station.
+Each communication round runs in two planes.
+
+The network plane (``_Network``) reads only the config, the device
+positions, the consumption cycles and the energy ledger. It steps the
+mobile devices, works out who is alive and who can reach the base station,
+refreshes clusters and elects heads on the head-policy cadence, and charges
+the round. Its output is a ``_RoundPlan``: who trains, which groups
+aggregate where, the link records and the effective charges. Energy never
+depends on a trained weight: every device trains on ``samples_per_device``
+rows minus its probe split and ships a model whose size the config fixes,
+so the plane needs neither data nor models.
+
+The learning plane (``_Run._learn``) consumes the plan the same way for
+all three schemes: every participant trains locally (through its
+autoencoder in the heterogeneous case), each group with a head aggregates
+there, the base station aggregates what reaches it, and the result is
+scored on the held-out test split. The conventional variant (CVFL) has one
+group without a head: only devices whose base-station delay clears the
+cutoff take part, and the devices shut out of the round still burn
+transmission attempts toward the far-away station. The cluster-routed
+variants (DBFL) have one group per participating cluster whose head is
+alive; a round in which no alive device can reach the base station has no
+groups at all.
 
 Everything is a deterministic function of the config seed: data
 generation, partitioning, mobility, training shuffles, and consumption
-cycles all come from labelled substreams of that one seed.
+cycles all come from labelled substreams of that one seed. Learning draws
+only from keyed substreams, so charging a round before training it leaves
+every draw unchanged.
 """
 
 from __future__ import annotations
@@ -41,8 +58,7 @@ from .data import (
     DataPlan,
     DevicePartition,
     FeatureSubsetPlan,
-    gen_ring_sectors,
-    gen_synthetic,
+    _generate,
     load_csv,
     partition,
     select_features,
@@ -172,11 +188,15 @@ def _classifier_params(input_dim: int, hidden: int, classes: int) -> int:
     return classes * (input_dim + 1)
 
 
-def _artifact_payload(artifact: ModelArtifact, reference_params: int) -> float:
-    size = artifact.network.parameter_count()
-    if artifact.encoder is not None:
-        size += artifact.encoder.parameter_count()
-    return size / reference_params
+def _classifier_input_dim(config: ScenarioConfig) -> int:
+    if config.kind is ScenarioKind.DBFL_HETEROGENEOUS:
+        return config.data.latent_dim
+    return config.data.schema.num_features
+
+
+def _probe_rows(plan: DataPlan) -> int:
+    # partition hands every device exactly samples_per_device rows
+    return max(1, int(round(plan.probe_fraction * plan.partition.samples_per_device)))
 
 
 def _derive_seed(seed: int, *key) -> int:
@@ -215,7 +235,7 @@ class _ProbModel:
 
 @dataclass
 class _DeviceRuntime:
-    node: DeviceNode
+    device_id: int
     train_x: np.ndarray
     train_y: np.ndarray
     probe_x: np.ndarray
@@ -233,36 +253,48 @@ class _DeviceRuntime:
         return x
 
 
-class _Run:
+@dataclass(frozen=True)
+class _RoundPlan:
+    """One round as the network plane scheduled and charged it.
+
+    ``groups`` lists (head, members) in aggregation order; a group with
+    head None uploads straight to the base station.
+    """
+
+    participants: tuple[int, ...]
+    clusters: ClusterAssignment | None
+    head_ids: tuple[int, ...]
+    groups: tuple[tuple[int | None, tuple[int, ...]], ...]
+    links: tuple[tuple[int, int, float], ...]
+    charges: dict[int, float]
+
+
+class _Network:
+    """The network plane of a run: reads the config, never a device's data."""
+
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.kind = config.kind
-        self.schema = config.data.schema
-        self.num_classes = self.schema.num_classes
+        self.hetero = config.kind is ScenarioKind.DBFL_HETEROGENEOUS
+        self.nodes = {d.id: d for d in config.devices}
         self.positions: dict[int, Position] = {d.id: d.pos for d in config.devices}
         self.mobility_rng = substream(config.seed, "mobility")
-        self.hetero = self.kind is ScenarioKind.DBFL_HETEROGENEOUS
-        self.classifier_input_dim = (
-            config.data.latent_dim if self.hetero else self.schema.num_features
-        )
-        self.reference_params = _classifier_params(
-            self.classifier_input_dim, config.hidden_units, self.num_classes
-        )
         self.cycles = self._draw_cycles()
-        self.devices = self._prepare_devices()
-        self.energy_state = EnergyState.start(
-            {d.id: d.battery for d in config.devices}
-        )
+        self.energy_state = EnergyState.start({d.id: d.battery for d in config.devices})
         self.assignment: ClusterAssignment | None = None
         self.heads: dict[int, int] = {}  # cluster_id -> head device id
-        self.signature = DataSignature(
-            self.schema.num_features, tuple(range(self.num_classes))
+        input_dim = _classifier_input_dim(config)
+        classes = config.data.schema.num_classes
+        self.cluster_signature = DataSignature(input_dim, tuple(range(classes)))
+        # shipped model size relative to the reference classifier; the
+        # heterogeneous scheme also ships its one-layer encoder
+        reference = _classifier_params(input_dim, config.hidden_units, classes)
+        encoder = 0
+        if self.hetero:
+            encoder = _classifier_params(config.data.subset_size, 0, config.data.latent_dim)
+        self.payload = (reference + encoder) / reference
+        self.train_samples = config.data.partition.samples_per_device - _probe_rows(
+            config.data
         )
-        self.cluster_signature = DataSignature(
-            self.classifier_input_dim, tuple(range(self.num_classes))
-        )
-
-    # ------------------------------------------------------------ setup
 
     def _draw_cycles(self) -> dict[int, EnergyParams]:
         rng = substream(self.config.seed, "consumption-cycles")
@@ -272,92 +304,17 @@ class _Run:
             out[device.id] = dataclasses.replace(self.config.energy, cycle=cycle)
         return out
 
-    def _load_dataset(self) -> tuple[np.ndarray, np.ndarray]:
-        plan = self.config.data
-        if plan.csv_path is not None:
-            return load_csv(plan.csv_path, self.schema)
-        total = (
-            len(self.config.devices) * plan.partition.samples_per_device
-            + plan.test_samples
-        )
-        if plan.task == "sectors":
-            return gen_ring_sectors(
-                self.schema,
-                total,
-                seed=self.config.seed,
-                sectors=plan.sectors,
-                spread=plan.spread,
-                latent_factors=plan.latent_factors,
-                center_scale=plan.center_scale,
-            )
-        return gen_synthetic(
-            self.schema,
-            total,
-            seed=self.config.seed,
-            spread=plan.spread,
-            latent_factors=plan.latent_factors,
-            center_scale=plan.center_scale,
-        )
-
-    def _prepare_devices(self) -> dict[int, _DeviceRuntime]:
-        plan = self.config.data
-        features, labels = self._load_dataset()
-        if features.shape[0] <= plan.test_samples:
-            raise ConfigError("dataset smaller than the held-out test split")
-        self.test_x = features[-plan.test_samples :]
-        self.test_y = labels[-plan.test_samples :]
-        pool_x = features[: -plan.test_samples]
-        pool_y = labels[: -plan.test_samples]
-
-        part_plan = dataclasses.replace(
-            plan.partition,
-            devices=len(self.config.devices),
-            seed=self.config.seed,
-        )
-        parts = partition(pool_x, pool_y, part_plan)
-
-        subset_plan = None
-        if self.hetero:
-            subset_plan = FeatureSubsetPlan.random(
-                self.schema,
-                devices=len(self.config.devices),
-                subset_size=plan.subset_size,
-                seed=self.config.seed,
-            )
-
-        devices: dict[int, _DeviceRuntime] = {}
-        ordered = sorted(self.config.devices, key=lambda d: d.id)
-        for index, device in enumerate(ordered):
-            data: DevicePartition = parts[index]
-            probe_len = max(1, int(round(plan.probe_fraction * data.features.shape[0])))
-            runtime = _DeviceRuntime(
-                node=device,
-                train_x=data.features[probe_len:],
-                train_y=data.labels[probe_len:],
-                probe_x=data.features[:probe_len],
-                probe_y=data.labels[:probe_len],
-            )
-            if subset_plan is not None:
-                runtime.feature_indices = subset_plan.indices[index]
-                ae_cfg = AutoencoderConfig(
-                    input_dim=plan.subset_size,
-                    latent_dim=plan.latent_dim,
-                    learning_rate=plan.ae_learning_rate,
-                    epochs=plan.ae_epochs,
-                    seed=_derive_seed(self.config.seed, "autoencoder", device.id),
-                )
-                subset = select_features(runtime.train_x, subset_plan, index)
-                runtime.encoder, _ = train_autoencoder(ae_cfg, subset)
-            devices[device.id] = runtime
-        return devices
-
     # ------------------------------------------------------- connectivity
 
+    def _moved(self, device_id: int) -> DeviceNode:
+        return dataclasses.replace(self.nodes[device_id], pos=self.positions[device_id])
+
     def _bs_delay(self, device_id: int) -> float:
-        runtime = self.devices[device_id]
-        node = dataclasses.replace(runtime.node, pos=self.positions[device_id])
         return transmission_delay(
-            self.config.link, node, BS_POSITION, override_latency_s=runtime.node.bs_latency_s
+            self.config.link,
+            self._moved(device_id),
+            BS_POSITION,
+            override_latency_s=self.nodes[device_id].bs_latency_s,
         )
 
     def _bs_distance(self, device_id: int) -> float:
@@ -388,65 +345,267 @@ class _Run:
                 pos = Position(home.x + dx * limit / radius, home.y + dy * limit / radius)
             self.positions[device.id] = pos
 
+    def _refresh_clusters(self) -> None:
+        alive = self.energy_state.alive()
+        delays = {d: self._bs_delay(d) for d in alive}
+        connectable = {d: can_connect(self.config.link, delays[d]) for d in alive}
+        self.heads = {}
+        if not any(connectable.values()):
+            # nobody alive reaches the base station: no cluster can form
+            self.assignment = None
+            return
+        max_range = (
+            self.config.link.max_transmission_time_s / self.config.link.delay_per_meter_s
+        )
+        self.assignment = form_clusters(
+            [self._moved(d) for d in alive],
+            [connectable[d] for d in alive],
+            [self.cluster_signature] * len(alive),
+            self.config.cluster_policy,
+            max_member_distance_m=max_range,
+        )
+        for cluster in self.assignment.clusters:
+            if not cluster.participating:
+                continue
+            candidates = []
+            for m in cluster.member_ids:
+                others = [o for o in cluster.member_ids if o != m]
+                agg = sum(
+                    distance_m(self.positions[m], self.positions[o]) for o in others
+                )
+                candidates.append(
+                    HeadCandidateView(
+                        device_id=m,
+                        bs_connectable=connectable[m],
+                        aggregated_distance_m=agg,
+                        battery=self.energy_state.remaining(m),
+                        mobile=self.nodes[m].mobile,
+                        bs_latency_s=delays[m],
+                    )
+                )
+            self.heads[cluster.cluster_id] = select_head(candidates)
+
+    # ------------------------------------------------------------ rounds
+
+    def _schedule_direct(self) -> tuple[tuple, list, dict[int, float]]:
+        """CVFL: devices whose base-station delay clears the cutoff upload
+        straight to it; the rest still burn a transmission attempt."""
+        alive = self.energy_state.alive()
+        delays = {d: self._bs_delay(d) for d in alive}
+        participants = tuple(d for d in alive if can_connect(self.config.link, delays[d]))
+        links = []
+        costs: dict[int, float] = {}
+        for d in alive:
+            links.append((d, BS_NODE_ID, delays[d]))
+            distance = self._energy_distance(self._bs_distance(d))
+            if d in participants:
+                costs[d] = round_energy(
+                    self.cycles[d],
+                    distance,
+                    self.payload,
+                    self.train_samples,
+                    self.config.local_epochs,
+                )
+            else:
+                # out of reach: the upload attempt still burns transmit power
+                costs[d] = round_energy(self.cycles[d], distance, 1.0, 0, 0)
+        groups = ((None, participants),) if participants else ()
+        return groups, links, costs
+
+    def _schedule_clustered(self, round_index: int) -> tuple[tuple, list, dict[int, float]]:
+        """DBFL: members upload to their cluster head, heads relay to the
+        base station; clusters whose head has died sit the round out."""
+        if (
+            self.assignment is None
+            or round_index % self.config.head_policy.reselect_interval_rounds == 0
+        ):
+            self._refresh_clusters()
+        if self.assignment is None:
+            return (), [], {}
+        alive = set(self.energy_state.alive())
+        groups = []
+        links = []
+        costs: dict[int, float] = {}
+        for cluster in self.assignment.clusters:
+            if not cluster.participating:
+                continue
+            head = self.heads[cluster.cluster_id]
+            members = tuple(sorted(m for m in cluster.member_ids if m in alive))
+            if head not in members:
+                continue
+            for m in members:
+                if m == head:
+                    # head: local training plus aggregation work plus relay to BS
+                    distance = self._bs_distance(m)
+                    epochs = self.config.local_epochs + HEAD_AGGREGATION_EPOCHS
+                    links.append((m, BS_NODE_ID, self._bs_delay(m)))
+                else:
+                    distance = distance_m(self.positions[m], self.positions[head])
+                    epochs = self.config.local_epochs
+                    delay = transmission_delay(
+                        self.config.link, self._moved(m), self.positions[head]
+                    )
+                    links.append((m, head, delay))
+                costs[m] = round_energy(
+                    self.cycles[m],
+                    self._energy_distance(distance),
+                    self.payload,
+                    self.train_samples,
+                    epochs,
+                )
+                if round_index == 0 and self.hetero:
+                    # one-time autoencoder fit, charged as compute
+                    ae_epochs = self.config.data.ae_epochs
+                    costs[m] += round_energy(
+                        self.cycles[m], 0.0, 0.0, self.train_samples, ae_epochs
+                    )
+            groups.append((head, members))
+        return tuple(groups), links, costs
+
+    def plan_round(self, round_index: int) -> _RoundPlan:
+        """Move the mobile devices, schedule the round and charge its energy."""
+        self._move_mobiles()
+        if self.config.kind is ScenarioKind.CVFL:
+            groups, links, costs = self._schedule_direct()
+        else:
+            groups, links, costs = self._schedule_clustered(round_index)
+        self.energy_state, charges = apply_round(self.energy_state, costs)
+        return _RoundPlan(
+            participants=tuple(sorted(m for _, members in groups for m in members)),
+            clusters=self.assignment,
+            head_ids=tuple(sorted(head for head, _ in groups if head is not None)),
+            groups=groups,
+            links=tuple(sorted(links)),
+            charges=charges,
+        )
+
+
+class _Run:
+    """One run: the network plane plans and charges each round, then the
+    learning plane (device data, local models, aggregation) trains it."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.network = _Network(config)
+        self.hetero = self.network.hetero
+        self.schema = config.data.schema
+        self.num_classes = self.schema.num_classes
+        self.classifier_input_dim = _classifier_input_dim(config)
+        self.signature = DataSignature(
+            self.schema.num_features, tuple(range(self.num_classes))
+        )
+        self.devices = self._prepare_devices()
+
+    # ------------------------------------------------------------ setup
+
+    def _load_dataset(self) -> tuple[np.ndarray, np.ndarray]:
+        plan = self.config.data
+        if plan.csv_path is not None:
+            return load_csv(plan.csv_path, self.schema)
+        total = (
+            len(self.config.devices) * plan.partition.samples_per_device
+            + plan.test_samples
+        )
+        return _generate(plan, total, self.config.seed)
+
+    def _prepare_devices(self) -> dict[int, _DeviceRuntime]:
+        plan = self.config.data
+        features, labels = self._load_dataset()
+        if features.shape[0] <= plan.test_samples:
+            raise ConfigError("dataset smaller than the held-out test split")
+        self.test_x = features[-plan.test_samples :]
+        self.test_y = labels[-plan.test_samples :]
+        pool_x = features[: -plan.test_samples]
+        pool_y = labels[: -plan.test_samples]
+
+        part_plan = dataclasses.replace(
+            plan.partition,
+            devices=len(self.config.devices),
+            seed=self.config.seed,
+        )
+        parts = partition(pool_x, pool_y, part_plan)
+
+        subset_plan = None
+        if self.hetero:
+            subset_plan = FeatureSubsetPlan.random(
+                self.schema,
+                devices=len(self.config.devices),
+                subset_size=plan.subset_size,
+                seed=self.config.seed,
+            )
+
+        devices: dict[int, _DeviceRuntime] = {}
+        ordered = sorted(self.config.devices, key=lambda d: d.id)
+        probe_len = _probe_rows(plan)
+        for index, device in enumerate(ordered):
+            data: DevicePartition = parts[index]
+            runtime = _DeviceRuntime(
+                device_id=device.id,
+                train_x=data.features[probe_len:],
+                train_y=data.labels[probe_len:],
+                probe_x=data.features[:probe_len],
+                probe_y=data.labels[:probe_len],
+            )
+            if subset_plan is not None:
+                runtime.feature_indices = subset_plan.indices[index]
+                ae_cfg = AutoencoderConfig(
+                    input_dim=plan.subset_size,
+                    latent_dim=plan.latent_dim,
+                    learning_rate=plan.ae_learning_rate,
+                    epochs=plan.ae_epochs,
+                    seed=_derive_seed(self.config.seed, "autoencoder", device.id),
+                )
+                subset = select_features(runtime.train_x, subset_plan, index)
+                runtime.encoder, _ = train_autoencoder(ae_cfg, subset)
+            devices[device.id] = runtime
+        return devices
+
     # ---------------------------------------------------------- training
 
-    def _train_local(self, runtime: _DeviceRuntime, round_index: int) -> DenseNetwork:
-        seed = _derive_seed(self.config.seed, "train", runtime.node.id, round_index)
-        if not self.hetero:
-            cfg = ClassifierConfig(
-                input_dim=self.classifier_input_dim,
-                hidden_units=self.config.hidden_units,
-                num_classes=self.num_classes,
-                learning_rate=self.config.learning_rate,
-                epochs=self.config.local_epochs,
-                batch_size=self.config.batch_size,
-                seed=seed,
-            )
-            net = train_classifier(
-                cfg, runtime.train_x, runtime.train_y, init=runtime.local_net
-            )
-            runtime.local_net = net
-            return net
-
-        # heterogeneous: the encoder joins the classifier's gradient steps,
-        # so the latent code keeps adapting to what the classifier needs
-        assert runtime.encoder is not None and runtime.feature_indices is not None
-        x = runtime.train_x[:, list(runtime.feature_indices)]
-        head = runtime.local_net
-        if head is None:
-            init_rng = substream(self.config.seed, "classifier-init", runtime.node.id)
-            head = glorot_init(
-                [self.config.data.latent_dim, self.config.hidden_units, self.num_classes],
-                ["relu", "linear"],
-                init_rng,
-            )
-        composite = DenseNetwork(list(runtime.encoder.layers) + list(head.layers))
+    def _train(self, runtime: _DeviceRuntime, round_index: int) -> ModelArtifact:
+        """One local update; returns the artifact the device ships."""
         cfg = ClassifierConfig(
-            input_dim=self.config.data.subset_size,
+            input_dim=(
+                self.config.data.subset_size if self.hetero else self.classifier_input_dim
+            ),
             hidden_units=self.config.hidden_units,
             num_classes=self.num_classes,
             learning_rate=self.config.learning_rate,
             epochs=self.config.local_epochs,
             batch_size=self.config.batch_size,
-            seed=seed,
+            seed=_derive_seed(self.config.seed, "train", runtime.device_id, round_index),
         )
-        net = train_classifier(cfg, x, runtime.train_y, init=composite)
-        runtime.encoder = DenseNetwork(list(net.layers[:1]))
-        runtime.local_net = DenseNetwork(list(net.layers[1:]))
-        return runtime.local_net
-
-    def _artifact(self, runtime: _DeviceRuntime, round_index: int) -> ModelArtifact:
-        assert runtime.local_net is not None
+        if not self.hetero:
+            runtime.local_net = train_classifier(
+                cfg, runtime.train_x, runtime.train_y, init=runtime.local_net
+            )
+        else:
+            # the encoder joins the classifier's gradient steps, so the
+            # latent code keeps adapting to what the classifier needs
+            assert runtime.encoder is not None and runtime.feature_indices is not None
+            x = runtime.train_x[:, list(runtime.feature_indices)]
+            head = runtime.local_net
+            if head is None:
+                init_rng = substream(self.config.seed, "classifier-init", runtime.device_id)
+                head = glorot_init(
+                    [self.config.data.latent_dim, self.config.hidden_units, self.num_classes],
+                    ["relu", "linear"],
+                    init_rng,
+                )
+            composite = DenseNetwork(list(runtime.encoder.layers) + list(head.layers))
+            net = train_classifier(cfg, x, runtime.train_y, init=composite)
+            runtime.encoder = DenseNetwork(list(net.layers[:1]))
+            runtime.local_net = DenseNetwork(list(net.layers[1:]))
         return ModelArtifact(
             network=runtime.local_net,
-            source_id=runtime.node.id,
+            source_id=runtime.device_id,
             round_index=round_index,
             signature=self.signature,
             encoder=runtime.encoder,
             feature_indices=runtime.feature_indices,
         )
 
-    def _probe_union(self, device_ids: list[int]) -> ProbeSet:
+    def _probe_union(self, device_ids: tuple[int, ...]) -> ProbeSet:
         xs = [self.devices[d].probe_x for d in sorted(device_ids)]
         ys = [self.devices[d].probe_y for d in sorted(device_ids)]
         return ProbeSet(features=np.vstack(xs), labels=np.concatenate(ys))
@@ -454,14 +613,14 @@ class _Run:
     def _aggregate(
         self,
         models: list["_ProbModel"],
-        probe: ProbeSet,
         source_id: int,
         round_index: int,
-        member_ids: list[int],
+        member_ids: tuple[int, ...],
     ) -> "_ProbModel":
         """Aggregate one level; the result carries both the relayable
         artifact and the probability model the level actually computes."""
         artifacts = [m.artifact for m in models]
+        probe = self._probe_union(member_ids)
         method = self.config.aggregation
         if method is AggregationMethod.WEIGHTED_AVERAGING:
             selected, _ = aggregate_weighted(artifacts, probe)
@@ -505,220 +664,45 @@ class _Run:
                 ),
             )
             pooled_artifact = retrain_pooled(
-                pooled, cfg, source_id=source_id, signature=self.cluster_signature
+                pooled, cfg, source_id=source_id, signature=self.network.cluster_signature
             )
             return _ProbModel(pooled_artifact, method=method)
         raise ConfigError(f"unsupported aggregation method {method}")
 
-    # -------------------------------------------------------- evaluation
-
-    def _accuracy(self, model: "_ProbModel") -> float:
-        probs = model.probabilities(self.test_x)
-        return float(np.mean(probs.argmax(axis=1) == self.test_y))
-
     # ------------------------------------------------------------ rounds
 
-    def _round_cvfl(self, round_index: int) -> RoundTrace:
-        alive = set(self.energy_state.alive())
-        delays = {d.id: self._bs_delay(d.id) for d in self.config.devices}
-        participants = sorted(
-            d
-            for d in alive
-            if can_connect(self.config.link, delays[d])
-        )
-        costs: dict[int, float] = {}
-        links: list[tuple[int, int, float]] = []
-        models: list[_ProbModel] = []
-        for d in sorted(alive):
-            links.append((d, BS_NODE_ID, delays[d]))
-            distance = self._energy_distance(self._bs_distance(d))
-            if d in participants:
-                self._train_local(self.devices[d], round_index)
-                artifact = self._artifact(self.devices[d], round_index)
-                models.append(_ProbModel(artifact))
-                costs[d] = round_energy(
-                    self.cycles[d],
-                    distance,
-                    _artifact_payload(artifact, self.reference_params),
-                    self.devices[d].train_x.shape[0],
-                    self.config.local_epochs,
-                )
-            else:
-                # out of reach: the upload attempt still burns transmit power
-                costs[d] = round_energy(self.cycles[d], distance, 1.0, 0, 0)
-
-        accuracy = 0.0
-        if models:
-            probe = self._probe_union(participants)
-            global_model = self._aggregate(
-                models, probe, BS_NODE_ID, round_index, participants
-            )
-            accuracy = self._accuracy(global_model)
-
-        self.energy_state, charges = apply_round(self.energy_state, costs)
-        return RoundTrace(
-            round_index=round_index,
-            participants=tuple(participants),
-            clusters=None,
-            head_ids=(),
-            accuracy=accuracy,
-            energy_spent=charges,
-            link_delays=tuple(sorted(links)),
-        )
-
-    def _refresh_clusters(self) -> None:
-        alive = self.energy_state.alive()
-        nodes = []
-        connectable = []
-        signatures = []
-        for d in alive:
-            runtime = self.devices[d]
-            node = dataclasses.replace(runtime.node, pos=self.positions[d])
-            nodes.append(node)
-            connectable.append(can_connect(self.config.link, self._bs_delay(d)))
-            signatures.append(self.cluster_signature)
-        max_range = (
-            self.config.link.max_transmission_time_s / self.config.link.delay_per_meter_s
-        )
-        self.assignment = form_clusters(
-            nodes,
-            connectable,
-            signatures,
-            self.config.cluster_policy,
-            max_member_distance_m=max_range,
-        )
-        self.heads = {}
-        for cluster in self.assignment.clusters:
-            if not cluster.participating:
-                continue
-            candidates = []
-            for m in cluster.member_ids:
-                others = [o for o in cluster.member_ids if o != m]
-                agg = sum(
-                    distance_m(self.positions[m], self.positions[o]) for o in others
-                )
-                candidates.append(
-                    HeadCandidateView(
-                        device_id=m,
-                        bs_connectable=can_connect(self.config.link, self._bs_delay(m)),
-                        aggregated_distance_m=agg,
-                        battery=self.energy_state.remaining(m),
-                        mobile=self.devices[m].node.mobile,
-                        bs_latency_s=self._bs_delay(m),
-                    )
-                )
-            self.heads[cluster.cluster_id] = select_head(candidates)
-
-    def _round_dbfl(self, round_index: int) -> RoundTrace:
-        if (
-            self.assignment is None
-            or round_index % self.config.head_policy.reselect_interval_rounds == 0
-        ):
-            self._refresh_clusters()
-        assert self.assignment is not None
-
-        alive = set(self.energy_state.alive())
-        costs: dict[int, float] = {}
-        links: list[tuple[int, int, float]] = []
-        head_ids: list[int] = []
-        cluster_models: list[_ProbModel] = []
-        participants: list[int] = []
-        bs_member_ids: list[int] = []
-
-        for cluster in self.assignment.clusters:
-            if not cluster.participating:
-                continue
-            head = self.heads[cluster.cluster_id]
-            members = [m for m in cluster.member_ids if m in alive]
-            if head not in members:
-                continue
-            head_ids.append(head)
-            member_models: list[_ProbModel] = []
-            for m in sorted(members):
-                runtime = self.devices[m]
-                self._train_local(runtime, round_index)
-                artifact = self._artifact(runtime, round_index)
-                member_models.append(_ProbModel(artifact))
-                payload = _artifact_payload(artifact, self.reference_params)
-                samples = runtime.train_x.shape[0]
-                if m == head:
-                    # head: local training plus aggregation work plus relay to BS
-                    head_distance = self._energy_distance(self._bs_distance(m))
-                    costs[m] = round_energy(
-                        self.cycles[m],
-                        head_distance,
-                        payload,
-                        samples,
-                        self.config.local_epochs + HEAD_AGGREGATION_EPOCHS,
-                    )
-                    links.append((m, BS_NODE_ID, self._bs_delay(m)))
-                else:
-                    d2d = distance_m(self.positions[m], self.positions[head])
-                    costs[m] = round_energy(
-                        self.cycles[m],
-                        self._energy_distance(d2d),
-                        payload,
-                        samples,
-                        self.config.local_epochs,
-                    )
-                    links.append(
-                        (
-                            m,
-                            head,
-                            transmission_delay(
-                                self.config.link,
-                                dataclasses.replace(
-                                    runtime.node, pos=self.positions[m]
-                                ),
-                                self.positions[head],
-                            ),
-                        )
-                    )
-            if round_index == 0 and self.hetero:
-                # one-time autoencoder fit, charged as compute
-                for m in sorted(members):
-                    ae_work = round_energy(
-                        self.cycles[m],
-                        0.0,
-                        0.0,
-                        self.devices[m].train_x.shape[0],
-                        self.config.data.ae_epochs,
-                    )
-                    costs[m] = costs.get(m, 0.0) + ae_work
-            probe = self._probe_union(members)
-            cluster_models.append(
-                self._aggregate(member_models, probe, head, round_index, members)
-            )
-            participants.extend(members)
-            bs_member_ids.extend(members)
-
-        accuracy = 0.0
-        if cluster_models:
-            bs_probe = self._probe_union(bs_member_ids)
-            global_model = self._aggregate(
-                cluster_models, bs_probe, BS_NODE_ID, round_index, bs_member_ids
-            )
-            accuracy = self._accuracy(global_model)
-
-        self.energy_state, charges = apply_round(self.energy_state, costs)
-        return RoundTrace(
-            round_index=round_index,
-            participants=tuple(sorted(participants)),
-            clusters=self.assignment,
-            head_ids=tuple(sorted(head_ids)),
-            accuracy=accuracy,
-            energy_spent=charges,
-            link_delays=tuple(sorted(links)),
-        )
+    def _learn(self, plan: _RoundPlan, round_index: int) -> float:
+        """Train every participant, aggregate each headed group at its head
+        and the result at the base station; returns the test accuracy."""
+        if not plan.groups:
+            return 0.0
+        level: list[_ProbModel] = []
+        for head, members in plan.groups:
+            models = [_ProbModel(self._train(self.devices[m], round_index)) for m in members]
+            if head is not None:
+                models = [self._aggregate(models, head, round_index, members)]
+            level.extend(models)
+        global_model = self._aggregate(level, BS_NODE_ID, round_index, plan.participants)
+        probs = global_model.probabilities(self.test_x)
+        return float(np.mean(probs.argmax(axis=1) == self.test_y))
 
     def execute(self) -> list[RoundTrace]:
         traces = []
         for round_index in range(self.config.rounds):
-            self._move_mobiles()
-            if self.kind is ScenarioKind.CVFL:
-                traces.append(self._round_cvfl(round_index))
-            else:
-                traces.append(self._round_dbfl(round_index))
+            # energy never reads a trained weight, so the round is charged
+            # before it is trained; learning draws only keyed substreams
+            plan = self.network.plan_round(round_index)
+            traces.append(
+                RoundTrace(
+                    round_index=round_index,
+                    participants=plan.participants,
+                    clusters=plan.clusters,
+                    head_ids=plan.head_ids,
+                    accuracy=self._learn(plan, round_index),
+                    energy_spent=plan.charges,
+                    link_delays=plan.links,
+                )
+            )
         return traces
 
 
@@ -736,6 +720,23 @@ def total_energy(traces: list[RoundTrace]) -> float:
     return total
 
 
+def _sweep_configs(
+    base: ScenarioConfig, delays: list[float]
+) -> list[tuple[float, ScenarioKind, ScenarioConfig]]:
+    """Check a delay sweep and expand it into one config per point, ordered
+    by (delay value, scenario kind); every point keeps the base seed."""
+    if not delays:
+        raise ConfigError("sweep needs at least one delay value")
+    if any(v <= 0 for v in delays):
+        raise ConfigError("sweep delays must be positive")
+    points = []
+    for delay in delays:
+        link = dataclasses.replace(base.link, delay_per_meter_s=delay)
+        for kind in ScenarioKind:
+            points.append((delay, kind, dataclasses.replace(base, kind=kind, link=link)))
+    return points
+
+
 def delay_sweep(
     base: ScenarioConfig, sweep: list[float]
 ) -> list[tuple[float, ScenarioKind, float]]:
@@ -744,14 +745,7 @@ def delay_sweep(
     Every run shares the base config's seed; rows come back ordered by
     (delay value, scenario kind).
     """
-    if not sweep:
-        raise ConfigError("sweep needs at least one delay value")
-    if any(v <= 0 for v in sweep):
-        raise ConfigError("sweep delays must be positive")
-    rows = []
-    for delay in sweep:
-        link = dataclasses.replace(base.link, delay_per_meter_s=delay)
-        for kind in ScenarioKind:
-            config = dataclasses.replace(base, kind=kind, link=link)
-            rows.append((delay, kind, total_energy(run_scenario(config))))
-    return rows
+    return [
+        (delay, kind, total_energy(run_scenario(config)))
+        for delay, kind, config in _sweep_configs(base, sweep)
+    ]

@@ -42,8 +42,6 @@ class DeviceNode:
     mobile: bool = False
     battery: float = 100.0
     bs_latency_s: float | None = None
-    partition_id: int = 0
-    feature_dim: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.battery <= 100.0:
@@ -51,8 +49,6 @@ class DeviceNode:
         if self.bs_latency_s is not None:
             if not math.isfinite(self.bs_latency_s) or self.bs_latency_s < 0:
                 raise ValueError(f"bs_latency_s must be finite and >= 0, got {self.bs_latency_s}")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be positive")
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,7 @@ def test_energy_ledger_exactness():
         traces = run.execute()
         for device in config.devices:
             spent = sum(t.energy_spent.get(device.id, 0.0) for t in traces)
-            state = run.energy_state
+            state = run.network.energy_state
             if state.initial[device.id] != quantize(device.battery):
                 conservation_breaks += 1
             if spent != state.initial[device.id] - state.remaining(device.id):

@@ -223,7 +223,13 @@ def test_config_errors_exit_one(tmp_path, capsys):
     unknown_key.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
     nested_unknown = tmp_path / "nested.json"
     nested_unknown.write_text(json.dumps({"data": {"bogus": 1}}), encoding="utf-8")
-    cases = [
+    device_keys = []
+    for key in ("partition_id", "feature_dim"):  # fields the simulator never read
+        path = tmp_path / f"device_{key}.json"
+        device = {"id": 0, "pos": {"x": 1.0, "y": 1.0}, key: 1}
+        path.write_text(json.dumps({"devices": [device]}), encoding="utf-8")
+        device_keys.append(["run", "--scenario", "cvfl", "--config", str(path)])
+    cases = device_keys + [
         ["run", "--scenario", "nope"],
         ["run", "--scenario", "cvfl", "--config", str(tmp_path / "absent.json")],
         ["run", "--scenario", "cvfl", "--config", str(bad_json)],

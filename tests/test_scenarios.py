@@ -12,11 +12,13 @@ import pytest
 from dfedsim.aggregation import AggregationMethod
 from dfedsim.data import DataPlan, PartitionPlan
 from dfedsim.errors import ConfigError
+from dfedsim.head_selection import HeadPolicy
 from dfedsim.scenarios import (
     BS_NODE_ID,
     RoundTrace,
     ScenarioConfig,
     ScenarioKind,
+    _Network,
     _Run,
     default_devices,
     delay_sweep,
@@ -200,24 +202,73 @@ def test_autoencoder_fit_charged_once_at_round_zero():
     for dev_id in t_lean[0].participants:
         extra = t_rich[0].energy_spent[dev_id] - t_lean[0].energy_spent[dev_id]
         samples = run.devices[dev_id].train_x.shape[0]
-        cycle = run.cycles[dev_id].cycle
-        expected = cycle * run.cycles[dev_id].compute_coeff * samples * 35
+        cycle = run.network.cycles[dev_id].cycle
+        expected = cycle * run.network.cycles[dev_id].compute_coeff * samples * 35
         assert extra == pytest.approx(expected, rel=1e-9)
 
 
 def test_mobile_devices_stay_near_home():
     cfg = small_config(ScenarioKind.DBFL_HOMOGENEOUS, rounds=30, mobility_radius_m=8.0)
-    run = _Run(cfg)
-    run.execute()
+    network = _Network(cfg)  # mobility is network-plane state: no data needed
+    for round_index in range(cfg.rounds):
+        network.plan_round(round_index)
     homes = {d.id: d.pos for d in cfg.devices}
     for d in cfg.devices:
-        pos = run.positions[d.id]
+        pos = network.positions[d.id]
         dist = np.hypot(pos.x - homes[d.id].x, pos.y - homes[d.id].y)
         if d.mobile:
             assert dist <= 8.0 + 1e-9
             assert dist > 0.0
         else:
             assert dist == 0.0
+
+
+@pytest.mark.parametrize(
+    "field, a, b",
+    [
+        ("learning_rate", 0.01, 0.05),
+        ("aggregation", AggregationMethod.WEIGHTED_AVERAGING,
+         AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING),
+    ],
+    ids=["learning_rate", "aggregation"],
+)
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_energy_does_not_depend_on_learning(kind, field, a, b):
+    # what the network plane schedules and charges must not move when only
+    # the learning changes, and it must come out the same without any data
+    runs = [run_scenario(small_config(kind, **{field: value})) for value in (a, b)]
+    network = _Network(small_config(kind, **{field: a}))
+    plans = [network.plan_round(r) for r in range(3)]
+    assert [t.accuracy for t in runs[0]] != [t.accuracy for t in runs[1]]
+    for ta, tb, plan in zip(*runs, plans):
+        for got in (tb, plan):
+            assert got.participants == ta.participants
+            assert got.clusters == ta.clusters
+            assert got.head_ids == ta.head_ids
+        assert tb.link_delays == plan.links == ta.link_delays
+        assert tb.energy_spent == plan.charges == ta.energy_spent
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_drained_fleet_finishes_with_empty_rounds(kind):
+    # the three BS-capable devices drain in round 0; the mobile pair that is
+    # left can never reach the base station, so no cluster can form
+    devices = tuple(
+        dataclasses.replace(d, battery=0.001) if d.id in (0, 1, 2) else d
+        for d in default_devices()
+    )
+    cfg = small_config(
+        kind, devices=devices, head_policy=HeadPolicy(reselect_interval_rounds=1)
+    )
+    first, *rest = run_scenario(cfg)
+    assert set(first.participants) >= {0, 1, 2}
+    assert len(rest) == 2
+    for t in rest:
+        assert t.participants == () and t.head_ids == () and t.clusters is None
+        assert t.accuracy == 0.0
+        assert not {0, 1, 2} & set(t.energy_spent)
+        if kind is not ScenarioKind.CVFL:
+            assert t.energy_spent == {} and t.link_delays == ()
 
 
 def test_config_validation():
