@@ -63,7 +63,7 @@ print(f"adaptive averaging:     {acc(adaptive_average(stack, weight_matrix)):.3f
 meta = train_meta(members, probe, config)
 print(f"meta-learner stacking:  {acc(artifact_probabilities(meta, test_x)):.3f}")
 
-pooled = retrain_pooled(member_data, config, signature=signature)
+pooled = retrain_pooled(member_data, config)
 print(f"retraining on the pool: {acc(artifact_probabilities(pooled, test_x)):.3f}")
 
 # the artifact that travels onward is always a real member model, chosen

@@ -11,7 +11,6 @@ from dfedsim import (
     AutoencoderConfig,
     ClassifierConfig,
     DatasetSchema,
-    encode,
     gen_ring_sectors,
     predict_proba,
     train_autoencoder,
@@ -31,8 +30,8 @@ test_x, test_y = local[1100:], labels[1100:]
 ae_config = AutoencoderConfig(input_dim=50, latent_dim=25, epochs=20, seed=0)
 encoder, decoder = train_autoencoder(ae_config, train_x)
 
-latent_train = encode(encoder, train_x)
-latent_test = encode(encoder, test_x)
+latent_train = encoder.forward(train_x)
+latent_test = encoder.forward(test_x)
 print("feature widths: raw subset", train_x.shape[1], "-> latent", latent_train.shape[1])
 
 recon = decoder.forward(latent_train)

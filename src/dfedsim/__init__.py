@@ -61,7 +61,6 @@ from .ml_core import (
     ClassifierConfig,
     DenseNetwork,
     Layer,
-    encode,
     load_network,
     predict_proba,
     save_network,

@@ -45,21 +45,21 @@ class AggregationMethod(Enum):
 class ModelArtifact:
     """A trained model plus the context needed to evaluate it.
 
-    ``feature_indices`` (column projection) and ``encoder`` (latent
-    mapping) describe the device's input pipeline; both are applied before
-    the network when computing probabilities. ``signature.feature_dim`` is
-    always the raw probe-feature dimensionality the artifact consumes.
-    Meta artifacts additionally carry the member models their stacker
-    feeds on.
+    The input pipeline is a column projection, then one network:
+    ``feature_indices``, when set, picks the raw probe columns the device
+    sees, and ``network`` maps them to class logits (for a heterogeneous
+    device its first layer compresses them to a latent code).
+    ``signature.feature_dim`` is always the raw probe-feature
+    dimensionality the artifact consumes.
+    Meta artifacts carry the member models their stacker feeds on in
+    ``meta_members``.
     """
 
     network: DenseNetwork
     source_id: int
     round_index: int
     signature: DataSignature
-    encoder: DenseNetwork | None = None
     feature_indices: tuple[int, ...] | None = None
-    is_meta: bool = False
     meta_members: tuple["ModelArtifact", ...] | None = None
 
     def __post_init__(self):
@@ -68,7 +68,7 @@ class ModelArtifact:
                 f"network outputs {self.network.output_dim} classes, signature has "
                 f"{len(self.signature.label_set)} labels"
             )
-        if self.is_meta and not self.meta_members:
+        if self.meta_members is not None and not self.meta_members:
             raise ValueError("meta artifacts need their member models")
 
 
@@ -92,13 +92,12 @@ class ProbeSet:
 def artifact_probabilities(artifact: ModelArtifact, features: np.ndarray) -> np.ndarray:
     """Class probabilities of an artifact on raw probe features.
 
-    Applies, in order: the artifact's feature-column projection, its
-    encoder, and its network. Meta artifacts first evaluate their members
-    and stack the concatenated probabilities.
+    Applies the artifact's feature-column projection, then its network.
+    Meta artifacts first evaluate their members and stack the concatenated
+    probabilities.
     """
     x = np.asarray(features, dtype=np.float64)
-    if artifact.is_meta:
-        assert artifact.meta_members is not None
+    if artifact.meta_members is not None:
         stacked = np.hstack(
             [artifact_probabilities(m, x) for m in artifact.meta_members]
         )
@@ -110,8 +109,6 @@ def artifact_probabilities(artifact: ModelArtifact, features: np.ndarray) -> np.
         )
     if artifact.feature_indices is not None:
         x = x[:, list(artifact.feature_indices)]
-    if artifact.encoder is not None:
-        x = artifact.encoder.forward(x)
     return predict_proba(artifact.network, x)
 
 
@@ -324,8 +321,8 @@ def train_meta(
 ) -> ModelArtifact:
     """Stacking: a shallow classifier over concatenated member probabilities.
 
-    The returned artifact is flagged as a meta-model and keeps references
-    to its members, since inference has to evaluate them first.
+    The returned artifact keeps references to its members in
+    ``meta_members``, since inference has to evaluate them first.
     """
     if probe.labels is None:
         raise MissingLabels("meta-learning needs probe labels")
@@ -341,7 +338,6 @@ def train_meta(
         source_id=source_id,
         round_index=max(mb.round_index for mb in members),
         signature=members[0].signature,
-        is_meta=True,
         meta_members=tuple(members),
     )
 
@@ -350,7 +346,6 @@ def retrain_pooled(
     member_data: list[tuple[np.ndarray, np.ndarray]],
     config: ClassifierConfig,
     source_id: int = -1,
-    signature: DataSignature | None = None,
 ) -> ModelArtifact:
     """One classifier trained on the concatenation of all member datasets."""
     if not member_data:
@@ -361,5 +356,5 @@ def retrain_pooled(
     features = np.vstack([np.asarray(x, dtype=np.float64) for x, _ in member_data])
     labels = np.concatenate([np.asarray(y) for _, y in member_data])
     net = train_classifier(config, features, labels)
-    sig = signature or DataSignature(dims.pop(), tuple(range(config.num_classes)))
+    sig = DataSignature(dims.pop(), tuple(range(config.num_classes)))
     return ModelArtifact(network=net, source_id=source_id, round_index=0, signature=sig)

@@ -97,20 +97,11 @@ class ClusterAssignment:
                     raise ValueError(f"device {member} appears in more than one cluster")
                 seen.add(member)
 
-    def device_ids(self) -> list[int]:
-        return sorted(m for c in self.clusters for m in c.member_ids)
-
     def participating_ids(self) -> list[int]:
         return sorted(m for c in self.clusters if c.participating for m in c.member_ids)
 
     def isolated_ids(self) -> list[int]:
         return sorted(m for c in self.clusters if not c.participating for m in c.member_ids)
-
-    def cluster_of(self, device_id: int) -> Cluster:
-        for cluster in self.clusters:
-            if device_id in cluster.member_ids:
-                return cluster
-        raise KeyError(f"device {device_id} is not in any cluster")
 
 
 def _dist_tie(a: float, b: float) -> bool:

@@ -66,9 +66,6 @@ class DenseNetwork:
     def output_dim(self) -> int:
         return self.layers[-1].weights.shape[0]
 
-    def parameter_count(self) -> int:
-        return sum(l.weights.size + l.bias.size for l in self.layers)
-
     def forward(self, features: np.ndarray) -> np.ndarray:
         out = _as_matrix(features, self.input_dim)
         for layer in self.layers:
@@ -417,11 +414,6 @@ def train_autoencoder(
     dec_b = dec_layer.bias * std + mean
     decoder = DenseNetwork([Layer(dec_w, dec_b, "linear")])
     return encoder, decoder
-
-
-def encode(encoder: DenseNetwork, features: np.ndarray) -> np.ndarray:
-    """Map raw features into the latent space (plain forward pass)."""
-    return encoder.forward(features)
 
 
 # ------------------------------------------------------------ serialization

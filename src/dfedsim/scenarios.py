@@ -13,16 +13,23 @@ rows minus its probe split and ships a model whose size the config fixes,
 so the plane needs neither data nor models.
 
 The learning plane (``_Run._learn``) consumes the plan the same way for
-all three schemes: every participant trains locally (through its
-autoencoder in the heterogeneous case), each group with a head aggregates
-there, the base station aggregates what reaches it, and the result is
-scored on the held-out test split. The conventional variant (CVFL) has one
-group without a head: only devices whose base-station delay clears the
-cutoff take part, and the devices shut out of the round still burn
-transmission attempts toward the far-away station. The cluster-routed
-variants (DBFL) have one group per participating cluster whose head is
-alive; a round in which no alive device can reach the base station has no
-groups at all.
+all three schemes: every participant trains its one local network, each
+group with a head aggregates there, the base station aggregates what
+reaches it, and the result is scored on the held-out test split. The
+conventional variant (CVFL) has one group without a head: only devices
+whose base-station delay clears the cutoff take part, and the devices
+shut out of the round still burn transmission attempts toward the
+far-away station. The cluster-routed variants (DBFL) have one group per
+participating cluster whose head is alive; a round in which no alive
+device can reach the base station has no groups at all.
+
+A device's model is a column projection followed by one network. In the
+heterogeneous scheme each device sees only its own feature columns: its
+training rows are projected onto them once at setup, and the first layer
+of its network is the encoder of an autoencoder fitted to that
+projection, trained on jointly with the classifier layers above it.
+Elsewhere the projection is the identity and the network a plain
+classifier on the raw features.
 
 Everything is a deterministic function of the config seed: data
 generation, partitioning, mobility, training shuffles, and consumption
@@ -159,8 +166,8 @@ class ScenarioConfig:
             self.aggregation is AggregationMethod.RETRAINING
             and self.kind is ScenarioKind.DBFL_HETEROGENEOUS
         ):
-            # heads pool latent codes of per-device encoders, so the pooled
-            # model has no input pipeline for the raw base-station probe
+            # members train on different feature columns, so their pooled
+            # rows share no input layout the raw base-station probe fits
             raise ConfigError("retrain aggregation does not support dbfl_heterogeneous")
         object.__setattr__(self, "devices", tuple(self.devices))
 
@@ -186,12 +193,6 @@ def _classifier_params(input_dim: int, hidden: int, classes: int) -> int:
     if hidden > 0:
         return hidden * (input_dim + 1) + classes * (hidden + 1)
     return classes * (input_dim + 1)
-
-
-def _classifier_input_dim(config: ScenarioConfig) -> int:
-    if config.kind is ScenarioKind.DBFL_HETEROGENEOUS:
-        return config.data.latent_dim
-    return config.data.schema.num_features
 
 
 def _probe_rows(plan: DataPlan) -> int:
@@ -240,17 +241,8 @@ class _DeviceRuntime:
     train_y: np.ndarray
     probe_x: np.ndarray
     probe_y: np.ndarray
-    feature_indices: tuple[int, ...] | None = None
-    encoder: DenseNetwork | None = None
+    feature_indices: tuple[int, ...] | None = None  # train_x holds only these columns
     local_net: DenseNetwork | None = None
-
-    def classifier_inputs(self, features: np.ndarray) -> np.ndarray:
-        x = features
-        if self.feature_indices is not None:
-            x = x[:, list(self.feature_indices)]
-        if self.encoder is not None:
-            x = self.encoder.forward(x)
-        return x
 
 
 @dataclass(frozen=True)
@@ -282,15 +274,17 @@ class _Network:
         self.energy_state = EnergyState.start({d.id: d.battery for d in config.devices})
         self.assignment: ClusterAssignment | None = None
         self.heads: dict[int, int] = {}  # cluster_id -> head device id
-        input_dim = _classifier_input_dim(config)
-        classes = config.data.schema.num_classes
-        self.cluster_signature = DataSignature(input_dim, tuple(range(classes)))
+        schema = config.data.schema
+        # every device consumes raw probe features with the same label set
+        self.signature = DataSignature(schema.num_features, tuple(range(schema.num_classes)))
         # shipped model size relative to the reference classifier; the
         # heterogeneous scheme also ships its one-layer encoder
-        reference = _classifier_params(input_dim, config.hidden_units, classes)
+        input_dim = schema.num_features
         encoder = 0
         if self.hetero:
-            encoder = _classifier_params(config.data.subset_size, 0, config.data.latent_dim)
+            input_dim = config.data.latent_dim
+            encoder = _classifier_params(config.data.subset_size, 0, input_dim)
+        reference = _classifier_params(input_dim, config.hidden_units, schema.num_classes)
         self.payload = (reference + encoder) / reference
         self.train_samples = config.data.partition.samples_per_device - _probe_rows(
             config.data
@@ -360,7 +354,7 @@ class _Network:
         self.assignment = form_clusters(
             [self._moved(d) for d in alive],
             [connectable[d] for d in alive],
-            [self.cluster_signature] * len(alive),
+            [self.signature] * len(alive),
             self.config.cluster_policy,
             max_member_distance_m=max_range,
         )
@@ -487,13 +481,8 @@ class _Run:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.network = _Network(config)
-        self.hetero = self.network.hetero
         self.schema = config.data.schema
         self.num_classes = self.schema.num_classes
-        self.classifier_input_dim = _classifier_input_dim(config)
-        self.signature = DataSignature(
-            self.schema.num_features, tuple(range(self.num_classes))
-        )
         self.devices = self._prepare_devices()
 
     # ------------------------------------------------------------ setup
@@ -526,7 +515,7 @@ class _Run:
         parts = partition(pool_x, pool_y, part_plan)
 
         subset_plan = None
-        if self.hetero:
+        if self.network.hetero:
             subset_plan = FeatureSubsetPlan.random(
                 self.schema,
                 devices=len(self.config.devices),
@@ -548,6 +537,7 @@ class _Run:
             )
             if subset_plan is not None:
                 runtime.feature_indices = subset_plan.indices[index]
+                runtime.train_x = select_features(runtime.train_x, subset_plan, index)
                 ae_cfg = AutoencoderConfig(
                     input_dim=plan.subset_size,
                     latent_dim=plan.latent_dim,
@@ -555,8 +545,15 @@ class _Run:
                     epochs=plan.ae_epochs,
                     seed=_derive_seed(self.config.seed, "autoencoder", device.id),
                 )
-                subset = select_features(runtime.train_x, subset_plan, index)
-                runtime.encoder, _ = train_autoencoder(ae_cfg, subset)
+                encoder, _ = train_autoencoder(ae_cfg, runtime.train_x)
+                head = glorot_init(
+                    [plan.latent_dim, self.config.hidden_units, self.num_classes],
+                    ["relu", "linear"],
+                    substream(self.config.seed, "classifier-init", device.id),
+                )
+                # the encoder joins the classifier's gradient steps, so the
+                # latent code keeps adapting to what the classifier needs
+                runtime.local_net = DenseNetwork(encoder.layers + head.layers)
             devices[device.id] = runtime
         return devices
 
@@ -565,9 +562,7 @@ class _Run:
     def _train(self, runtime: _DeviceRuntime, round_index: int) -> ModelArtifact:
         """One local update; returns the artifact the device ships."""
         cfg = ClassifierConfig(
-            input_dim=(
-                self.config.data.subset_size if self.hetero else self.classifier_input_dim
-            ),
+            input_dim=runtime.train_x.shape[1],
             hidden_units=self.config.hidden_units,
             num_classes=self.num_classes,
             learning_rate=self.config.learning_rate,
@@ -575,33 +570,14 @@ class _Run:
             batch_size=self.config.batch_size,
             seed=_derive_seed(self.config.seed, "train", runtime.device_id, round_index),
         )
-        if not self.hetero:
-            runtime.local_net = train_classifier(
-                cfg, runtime.train_x, runtime.train_y, init=runtime.local_net
-            )
-        else:
-            # the encoder joins the classifier's gradient steps, so the
-            # latent code keeps adapting to what the classifier needs
-            assert runtime.encoder is not None and runtime.feature_indices is not None
-            x = runtime.train_x[:, list(runtime.feature_indices)]
-            head = runtime.local_net
-            if head is None:
-                init_rng = substream(self.config.seed, "classifier-init", runtime.device_id)
-                head = glorot_init(
-                    [self.config.data.latent_dim, self.config.hidden_units, self.num_classes],
-                    ["relu", "linear"],
-                    init_rng,
-                )
-            composite = DenseNetwork(list(runtime.encoder.layers) + list(head.layers))
-            net = train_classifier(cfg, x, runtime.train_y, init=composite)
-            runtime.encoder = DenseNetwork(list(net.layers[:1]))
-            runtime.local_net = DenseNetwork(list(net.layers[1:]))
+        runtime.local_net = train_classifier(
+            cfg, runtime.train_x, runtime.train_y, init=runtime.local_net
+        )
         return ModelArtifact(
             network=runtime.local_net,
             source_id=runtime.device_id,
             round_index=round_index,
-            signature=self.signature,
-            encoder=runtime.encoder,
+            signature=self.network.signature,
             feature_indices=runtime.feature_indices,
         )
 
@@ -646,14 +622,11 @@ class _Run:
             )
         if method is AggregationMethod.RETRAINING:
             pooled = [
-                (
-                    self.devices[d].classifier_inputs(self.devices[d].train_x),
-                    self.devices[d].train_y,
-                )
+                (self.devices[d].train_x, self.devices[d].train_y)
                 for d in sorted(member_ids)
             ]
             cfg = ClassifierConfig(
-                input_dim=self.classifier_input_dim,
+                input_dim=self.schema.num_features,
                 hidden_units=self.config.hidden_units,
                 num_classes=self.num_classes,
                 learning_rate=self.config.learning_rate,
@@ -663,10 +636,7 @@ class _Run:
                     self.config.seed, "retrain", _seed_node_key(source_id), round_index
                 ),
             )
-            pooled_artifact = retrain_pooled(
-                pooled, cfg, source_id=source_id, signature=self.network.cluster_signature
-            )
-            return _ProbModel(pooled_artifact, method=method)
+            return _ProbModel(retrain_pooled(pooled, cfg, source_id=source_id), method=method)
         raise ConfigError(f"unsupported aggregation method {method}")
 
     # ------------------------------------------------------------ rounds

@@ -280,7 +280,7 @@ def test_meta_reaches_perfect_member_performance():
     cfg = ClassifierConfig(input_dim=1, hidden_units=0, num_classes=3,
                            epochs=300, learning_rate=0.5, seed=4)
     meta = train_meta(members, probe, cfg)
-    assert meta.is_meta
+    assert meta.meta_members == tuple(members)
     probs = artifact_probabilities(meta, probe.features)
     assert float(np.mean(probs.argmax(axis=1) == probe.labels)) >= 0.99
 
@@ -337,17 +337,17 @@ def test_retrain_error_contracts():
 def test_artifact_pipeline_applies_subset_then_encoder():
     rng = np.random.default_rng(617)
     encoder = glorot_init([4, 2], ["sigmoid"], rng)
-    net = glorot_init([2, 3], ["linear"], rng)
+    head = glorot_init([2, 3], ["linear"], rng)
+    # a heterogeneous device ships one network whose first layer is its encoder
     artifact = ModelArtifact(
-        network=net,
+        network=DenseNetwork(encoder.layers + head.layers),
         source_id=0,
         round_index=0,
         signature=DataSignature(10, (0, 1, 2)),
-        encoder=encoder,
         feature_indices=(9, 0, 3, 5),
     )
     x = rng.normal(size=(8, 10))
-    manual = predict_proba(net, encoder.forward(x[:, [9, 0, 3, 5]]))
+    manual = predict_proba(head, encoder.forward(x[:, [9, 0, 3, 5]]))
     assert np.array_equal(artifact_probabilities(artifact, x), manual)
 
 

@@ -11,7 +11,6 @@ from dfedsim.ml_core import (
     Layer,
     check_probability_matrix,
     cross_entropy,
-    encode,
     glorot_init,
     load_network,
     loss_gradients,
@@ -255,7 +254,7 @@ def test_autoencoder_output_dimensions():
     x = rng.normal(size=(40, 50))
     cfg = AutoencoderConfig(input_dim=50, latent_dim=25, epochs=1, seed=7)
     enc, dec = train_autoencoder(cfg, x)
-    latent = encode(enc, x)
+    latent = enc.forward(x)
     assert latent.shape == (40, 25)
     assert dec.forward(latent).shape == (40, 50)
 
@@ -306,13 +305,13 @@ def test_encode_is_pointwise():
     enc = random_net(rng, dims=[6, 3], final="sigmoid")
     a = rng.normal(size=(10, 6))
     b = rng.normal(size=(7, 6))
-    joint = encode(enc, np.vstack([a, b]))
-    assert np.array_equal(joint, np.vstack([encode(enc, a), encode(enc, b)]))
+    joint = enc.forward(np.vstack([a, b]))
+    assert np.array_equal(joint, np.vstack([enc.forward(a), enc.forward(b)]))
 
 
 def test_zero_weight_encoder_maps_to_zero():
     enc = DenseNetwork([Layer(np.zeros((3, 5)), np.zeros(3))])
-    assert np.all(encode(enc, np.ones((4, 5))) == 0.0)
+    assert np.all(enc.forward(np.ones((4, 5))) == 0.0)
 
 
 def test_serialization_round_trips_bitwise(tmp_path):

@@ -172,21 +172,33 @@ def test_sweep_rejects_bad_values():
 def test_heterogeneous_devices_get_private_encoders():
     run = _Run(small_config(ScenarioKind.DBFL_HETEROGENEOUS))
     plans = set()
+    encoders = set()
     for dev_id, runtime in sorted(run.devices.items()):
         assert runtime.feature_indices is not None
         assert len(runtime.feature_indices) == SMALL_PLAN.subset_size
-        assert runtime.encoder is not None
-        assert runtime.encoder.input_dim == SMALL_PLAN.subset_size
-        assert runtime.encoder.output_dim == SMALL_PLAN.latent_dim
+        assert runtime.train_x.shape[1] == SMALL_PLAN.subset_size
+        # one network per device: its first layer is the fitted encoder
+        encoder = runtime.local_net.layers[0]
+        assert encoder.weights.shape == (SMALL_PLAN.latent_dim, SMALL_PLAN.subset_size)
+        assert encoder.activation == "sigmoid"
+        assert runtime.local_net.output_dim == SMALL_PLAN.schema.num_classes
         plans.add(runtime.feature_indices)
+        encoders.add(encoder.weights.tobytes())
     assert len(plans) == 5  # all subsets differ
+    assert len(encoders) == 5
 
 
 def test_homogeneous_devices_share_the_raw_feature_space():
-    run = _Run(small_config(ScenarioKind.DBFL_HOMOGENEOUS))
+    config = small_config(ScenarioKind.DBFL_HOMOGENEOUS)
+    run = _Run(config)
     for runtime in run.devices.values():
         assert runtime.feature_indices is None
-        assert runtime.encoder is None
+        assert runtime.train_x.shape[1] == SMALL_PLAN.schema.num_features
+        run._train(runtime, round_index=0)
+        # no encoder: the first layer consumes every raw feature
+        first = runtime.local_net.layers[0]
+        assert first.weights.shape == (config.hidden_units, SMALL_PLAN.schema.num_features)
+        assert len(runtime.local_net.layers) == 2
 
 
 def test_autoencoder_fit_charged_once_at_round_zero():
