@@ -316,16 +316,24 @@ def partition(
                 for d in range(plan.devices)
             ]
         )
+        # bit d of a row's mask is set when the row lies in device d's arc;
+        # each distinct mask maps to its devices in ascending order
+        masks = [0] * x.shape[0]
+        for d in range(plan.devices):
+            for i in np.flatnonzero(in_arc[d]).tolist():
+                masks[i] |= 1 << d
+        arc_devices = {m: [d for d in range(plan.devices) if m >> d & 1] for m in set(masks)}
         quota = [plan.samples_per_device] * plan.devices
         chosen: list[list[int]] = [[] for _ in range(plan.devices)]
-        for i in rng.permutation(x.shape[0]):
-            eligible = [d for d in range(plan.devices) if in_arc[d, i] and quota[d] > 0]
-            if not eligible:
-                continue
+        for i in rng.permutation(x.shape[0]).tolist():
             # hand the row to the hungriest eligible device (ties: lower id)
-            d = max(eligible, key=lambda dd: (quota[dd], -dd))
-            chosen[d].append(int(i))
-            quota[d] -= 1
+            best, hunger = -1, 0
+            for d in arc_devices[masks[i]]:
+                if quota[d] > hunger:
+                    best, hunger = d, quota[d]
+            if best >= 0:
+                chosen[best].append(i)
+                quota[best] -= 1
         for d in range(plan.devices):
             replace = quota[d] > 0
             if replace:

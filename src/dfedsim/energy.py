@@ -13,6 +13,7 @@ energy units, well below anything the model resolves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 QUANTUM = 2.0 ** -40
@@ -37,12 +38,13 @@ class EnergyParams:
     payload_scale: float = 1e-3
 
     def __post_init__(self):
-        if self.attenuation <= 0:
-            raise ValueError("attenuation must be > 0")
+        if not (math.isfinite(self.attenuation) and self.attenuation > 0):
+            raise ValueError("attenuation must be finite and > 0")
         if not 0.2 <= self.cycle <= 0.35:
             raise ValueError(f"cycle must be in [0.2, 0.35], got {self.cycle}")
-        if self.compute_coeff < 0 or self.payload_scale < 0:
-            raise ValueError("coefficients must be >= 0")
+        for value in (self.compute_coeff, self.payload_scale):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError("coefficients must be finite and >= 0")
 
 
 def _power(base: float, exponent: float) -> float:

@@ -6,12 +6,14 @@ the per-dataset z-score transform used internally for stable training is
 folded into the first layer's weights, and the autoencoder's decoder folds
 the inverse transform into its output layer. Training is bitwise
 deterministic for a given config seed; minibatch shuffling depends only on
-(seed, epoch), never on data order.
+(seed, epoch), never on data order. Equal-shaped networks of several
+devices train in one stacked SGD pass, and each comes out bit for bit as
+if it had trained alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -97,21 +99,11 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "linear":
-        return np.ones_like(z)
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    if kind == "sigmoid":
-        s = expit(z)
-        return s * (1.0 - s)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def predict_proba(net: DenseNetwork, features: np.ndarray) -> np.ndarray:
@@ -129,17 +121,6 @@ def check_probability_matrix(probs: np.ndarray, tol: float = 1e-9) -> None:
     deviation = np.abs(p.sum(axis=1) - 1.0)
     if np.any(deviation > tol):
         raise ValueError(f"row sums deviate from 1 by up to {deviation.max():.3g}")
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    y = np.asarray(labels)
-    if y.ndim != 1:
-        raise DimensionMismatch("labels must be a 1-D array")
-    if y.size and (y.min() < 0 or y.max() >= num_classes):
-        raise ValueError(f"labels must lie in [0, {num_classes})")
-    out = np.zeros((y.shape[0], num_classes), dtype=np.float64)
-    out[np.arange(y.shape[0]), y.astype(int)] = 1.0
-    return out
 
 
 def cross_entropy(net: DenseNetwork, features: np.ndarray, labels: np.ndarray) -> float:
@@ -180,39 +161,84 @@ def loss_gradients(
     n = x.shape[0]
     if n == 0:
         raise EmptyDataset("cannot compute gradients on an empty batch")
-
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = [x]
-    out = x
-    for layer in net.layers:
-        z = out @ layer.weights.T + layer.bias
-        pre.append(z)
-        out = _activate(z, layer.activation)
-        post.append(out)
-
     if loss == "cross_entropy":
-        probs = softmax(out)
-        y = one_hot(np.asarray(target), net.output_dim)
-        value = _logit_cross_entropy(out, target)
-        d_out = (probs - y) / n
+        t = np.asarray(target)
+        if t.shape != (n,):
+            raise DimensionMismatch(f"expected {n} labels in a 1-D array, got shape {t.shape}")
+        if t.min() < 0 or t.max() >= net.output_dim:
+            raise ValueError(f"labels must lie in [0, {net.output_dim})")
+        t = t.astype(int)
     elif loss == "mse":
         t = np.asarray(target, dtype=np.float64)
-        if t.shape != out.shape:
-            raise DimensionMismatch(f"target shape {t.shape} != output shape {out.shape}")
-        value = float(np.mean((out - t) ** 2))
-        d_out = 2.0 * (out - t) / out.size
+        if t.shape != (n, net.output_dim):
+            raise DimensionMismatch(
+                f"target shape {t.shape} != output shape {(n, net.output_dim)}"
+            )
     else:
         raise ValueError(f"unknown loss {loss!r}")
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)  # type: ignore
-    delta = d_out * _activate_grad(pre[-1], net.layers[-1].activation)
-    for idx in range(len(net.layers) - 1, -1, -1):
-        grads[idx] = (delta.T @ post[idx], delta.sum(axis=0))
+    grads, out = _backprop(
+        [layer.weights[np.newaxis] for layer in net.layers],
+        [layer.bias[np.newaxis] for layer in net.layers],
+        [layer.activation for layer in net.layers],
+        x[np.newaxis],
+        t[np.newaxis],
+        loss,
+    )
+    if loss == "cross_entropy":
+        value = _logit_cross_entropy(out[0], t)
+    else:
+        value = float(np.mean((out[0] - t) ** 2))
+    return [(dw[0], db[0]) for dw, db in grads], value
+
+
+def _backprop(
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    activations: list[str],
+    x: np.ndarray,
+    target: np.ndarray,
+    loss: str,
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Mean-loss gradients of D equal-shaped networks, one minibatch each.
+
+    ``weights[l]`` is (D, out, in), ``biases[l]`` (D, out) and ``x``
+    (D, B, in); ``target`` is (D, B) integer labels for "cross_entropy" or
+    a (D, B, out) real array for "mse". A batched matmul makes the same
+    BLAS call for each device that its network alone would, so device d's
+    gradients are bit for bit its solo ones. Returns the per-layer stacked
+    (dW, db) in layer order and the network outputs (D, B, out).
+    """
+    post = [x]  # the input and each layer's activated output
+    out = x
+    for w, b, act in zip(weights, biases, activations):
+        out = out @ w.transpose(0, 2, 1)
+        out += b[:, np.newaxis, :]
+        out = _activate(out, act)
+        post.append(out)
+
+    n = x.shape[1]
+    if loss == "cross_entropy":
+        delta = softmax(out)
+        delta[np.arange(x.shape[0])[:, np.newaxis], np.arange(n), target] -= 1.0
+        delta /= n
+    else:
+        delta = out - target
+        delta *= 2.0
+        delta /= n * out.shape[2]
+
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(weights)  # type: ignore
+    for idx in range(len(weights) - 1, -1, -1):
+        # each activation's derivative, written in terms of its output
+        activated = post[idx + 1]
+        if activations[idx] == "relu":
+            delta *= activated > 0.0
+        elif activations[idx] == "sigmoid":
+            delta *= activated * (1.0 - activated)
+        grads[idx] = (delta.transpose(0, 2, 1) @ post[idx], delta.sum(axis=1))
         if idx > 0:
-            delta = (delta @ net.layers[idx].weights) * _activate_grad(
-                pre[idx - 1], net.layers[idx - 1].activation
-            )
-    return grads, value
+            delta = delta @ weights[idx]
+    return grads, out
 
 
 def glorot_init(
@@ -307,30 +333,73 @@ def _unfold_input_transform(net: DenseNetwork, mean: np.ndarray, std: np.ndarray
 
 
 def _sgd(
-    net: DenseNetwork,
-    x: np.ndarray,
-    target: np.ndarray,
-    loss: str,
+    nets: list[DenseNetwork],
+    xs: list[np.ndarray],
+    scales: list[tuple[np.ndarray, np.ndarray]],
+    labels: list[np.ndarray] | None,
     epochs: int,
     learning_rate: float,
     batch_size: int,
-    seed: int,
+    seeds: list[int],
     shuffle: bool,
     stream: str,
-) -> DenseNetwork:
-    n = x.shape[0]
+) -> list[DenseNetwork]:
+    """Minibatch SGD on D equal-shaped networks at once; returns the trained
+    networks, leaving the given ones untouched.
+
+    Device d walks its raw rows ``xs[d]`` in the order of
+    ``substream(seeds[d], stream, epoch)`` and standardizes each minibatch
+    with its ``scales[d] = (mean, std)``. It learns ``labels[d]`` under
+    cross-entropy or, with ``labels`` None, reconstructs the standardized
+    minibatch itself under squared error (an autoencoder). Every device
+    comes out bit for bit as if trained alone.
+    """
+    shapes = {
+        (x.shape, tuple((layer.weights.shape, layer.activation) for layer in net.layers))
+        for x, net in zip(xs, nets)
+    }
+    if len(shapes) != 1:
+        raise DimensionMismatch("stacked training needs equal-shaped data and networks")
+    activations = [layer.activation for layer in nets[0].layers]
+    weights = [np.stack([net.layers[i].weights for net in nets]) for i in range(len(activations))]
+    biases = [np.stack([net.layers[i].bias for net in nets]) for i in range(len(activations))]
+    mean = np.stack([m for m, _ in scales])[:, np.newaxis, :]
+    std = np.stack([s for _, s in scales])[:, np.newaxis, :]
+
+    loss = "mse" if labels is None else "cross_entropy"
+    n, width = xs[0].shape
+    # minibatch rows are gathered here, so no standardized copy of any
+    # device's training set is ever built
+    buffer = np.empty((len(nets), min(batch_size, n), width))
     for epoch in range(epochs):
         if shuffle:
-            order = substream(seed, stream, epoch).permutation(n)
+            orders = [substream(seed, stream, epoch).permutation(n) for seed in seeds]
         else:
-            order = np.arange(n)
+            orders = [np.arange(n)] * len(nets)
+        if labels is not None:
+            ordered = np.stack([y[order] for y, order in zip(labels, orders)])
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            grads, _ = loss_gradients(net, x[idx], target[idx], loss=loss)
-            for layer, (dw, db) in zip(net.layers, grads):
-                layer.weights -= learning_rate * dw
-                layer.bias -= learning_rate * db
-    return net
+            batch = buffer[:, : min(batch_size, n - start)]
+            for x, order, rows in zip(xs, orders, batch):
+                np.take(x, order[start : start + batch_size], axis=0, out=rows, mode="clip")
+            batch -= mean
+            batch /= std
+            target = batch if labels is None else ordered[:, start : start + batch_size]
+            grads, _ = _backprop(weights, biases, activations, batch, target, loss)
+            for w, b, (dw, db) in zip(weights, biases, grads):
+                dw *= learning_rate
+                w -= dw
+                db *= learning_rate
+                b -= db
+    return [
+        DenseNetwork([Layer(w[d], b[d], act) for w, b, act in zip(weights, biases, activations)])
+        for d in range(len(nets))
+    ]
+
+
+def _shared_hyperparameters(configs: list) -> None:
+    if len({replace(c, seed=0) for c in configs}) != 1:
+        raise ValueError("stacked devices must share every hyperparameter but the seed")
 
 
 def train_classifier(
@@ -345,37 +414,60 @@ def train_classifier(
     start) instead of a fresh seeded initialization; the seed then only
     drives minibatch shuffling.
     """
-    x = _as_matrix(features, config.input_dim)
-    y = np.asarray(labels).astype(int)
-    if x.shape[0] == 0:
-        raise EmptyDataset("training needs at least one sample")
-    if y.shape[0] != x.shape[0]:
-        raise DimensionMismatch(f"{x.shape[0]} samples but {y.shape[0]} labels")
-    if y.min() < 0 or y.max() >= config.num_classes:
-        raise ValueError(f"labels must lie in [0, {config.num_classes})")
+    return _train_classifiers([config], [features], [labels], [init])[0]
 
-    mean, std = _standardizer(x, config.standardize)
-    xs = (x - mean) / std
 
-    if init is None:
-        if config.hidden_units > 0:
-            dims = [config.input_dim, config.hidden_units, config.num_classes]
-            acts = ["relu", "linear"]
+def _train_classifiers(
+    configs: list[ClassifierConfig],
+    features: list[np.ndarray],
+    labels: list[np.ndarray],
+    inits: list[DenseNetwork | None],
+    scales: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> list[DenseNetwork]:
+    """``train_classifier`` for D devices in one stacked SGD pass.
+
+    The configs may differ only in their seeds. ``scales[d]``, when given,
+    is ``_standardizer(features[d], configs[d].standardize)`` computed
+    earlier, which a caller training the same rows every round can keep.
+    """
+    _shared_hyperparameters(configs)
+    config = configs[0]
+    xs, ys = [], []
+    for x, y in zip(features, labels):
+        x = _as_matrix(x, config.input_dim)
+        y = np.asarray(y).astype(int)
+        if x.shape[0] == 0:
+            raise EmptyDataset("training needs at least one sample")
+        if y.shape[0] != x.shape[0]:
+            raise DimensionMismatch(f"{x.shape[0]} samples but {y.shape[0]} labels")
+        if y.min() < 0 or y.max() >= config.num_classes:
+            raise ValueError(f"labels must lie in [0, {config.num_classes})")
+        xs.append(x)
+        ys.append(y)
+    if scales is None:
+        scales = [_standardizer(x, config.standardize) for x in xs]
+
+    nets = []
+    for cfg, init, (mean, std) in zip(configs, inits, scales):
+        if init is None:
+            if config.hidden_units > 0:
+                dims = [config.input_dim, config.hidden_units, config.num_classes]
+                acts = ["relu", "linear"]
+            else:
+                dims = [config.input_dim, config.num_classes]
+                acts = ["linear"]
+            nets.append(glorot_init(dims, acts, substream(cfg.seed, "classifier-init")))
         else:
-            dims = [config.input_dim, config.num_classes]
-            acts = ["linear"]
-        net = glorot_init(dims, acts, substream(config.seed, "classifier-init"))
-    else:
-        if init.input_dim != config.input_dim or init.output_dim != config.num_classes:
-            raise DimensionMismatch("init network does not match the config dimensions")
-        net = _unfold_input_transform(init.copy(), mean, std)
+            if init.input_dim != config.input_dim or init.output_dim != config.num_classes:
+                raise DimensionMismatch("init network does not match the config dimensions")
+            nets.append(_unfold_input_transform(init, mean, std))
 
-    net = _sgd(
-        net, xs, y, "cross_entropy",
+    trained = _sgd(
+        nets, xs, scales, ys,
         config.epochs, config.learning_rate, config.batch_size,
-        config.seed, config.shuffle, "classifier-shuffle",
+        [cfg.seed for cfg in configs], config.shuffle, "classifier-shuffle",
     )
-    return _fold_input_transform(net, mean, std)
+    return [_fold_input_transform(net, mean, std) for net, (mean, std) in zip(trained, scales)]
 
 
 def train_autoencoder(
@@ -387,33 +479,47 @@ def train_autoencoder(
     latent codes back to raw feature space (the internal z-score transform
     is folded into both).
     """
-    x = _as_matrix(features, config.input_dim)
-    if x.shape[0] == 0:
+    return _train_autoencoders([config], [features])[0]
+
+
+def _train_autoencoders(
+    configs: list[AutoencoderConfig],
+    features: list[np.ndarray],
+    scales: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> list[tuple[DenseNetwork, DenseNetwork]]:
+    """``train_autoencoder`` for D devices in one stacked SGD pass; the
+    configs and ``scales`` work as in ``_train_classifiers``."""
+    _shared_hyperparameters(configs)
+    config = configs[0]
+    xs = [_as_matrix(x, config.input_dim) for x in features]
+    if any(x.shape[0] == 0 for x in xs):
         raise EmptyDataset("training needs at least one sample")
+    if scales is None:
+        scales = [_standardizer(x, config.standardize) for x in xs]
 
-    mean, std = _standardizer(x, config.standardize)
-    xs = (x - mean) / std
-
-    rng = substream(config.seed, "autoencoder-init")
-    net = glorot_init(
-        [config.input_dim, config.latent_dim, config.input_dim],
-        [config.hidden_activation, "linear"],
-        rng,
-    )
-    net = _sgd(
-        net, xs, xs, "mse",
+    nets = [
+        glorot_init(
+            [config.input_dim, config.latent_dim, config.input_dim],
+            [config.hidden_activation, "linear"],
+            substream(cfg.seed, "autoencoder-init"),
+        )
+        for cfg in configs
+    ]
+    trained = _sgd(
+        nets, xs, scales, None,
         config.epochs, config.learning_rate, config.batch_size,
-        config.seed, config.shuffle, "autoencoder-shuffle",
+        [cfg.seed for cfg in configs], config.shuffle, "autoencoder-shuffle",
     )
 
-    enc_layer = net.layers[0]
-    dec_layer = net.layers[1]
-    encoder = _fold_input_transform(DenseNetwork([enc_layer]), mean, std)
-    # Un-standardize the decoder output: x_raw = std * x_std + mean.
-    dec_w = dec_layer.weights * std[:, np.newaxis]
-    dec_b = dec_layer.bias * std + mean
-    decoder = DenseNetwork([Layer(dec_w, dec_b, "linear")])
-    return encoder, decoder
+    pairs = []
+    for net, (mean, std) in zip(trained, scales):
+        enc_layer, dec_layer = net.layers
+        encoder = _fold_input_transform(DenseNetwork([enc_layer]), mean, std)
+        # Un-standardize the decoder output: x_raw = std * x_std + mean.
+        dec_w = dec_layer.weights * std[:, np.newaxis]
+        dec_b = dec_layer.bias * std + mean
+        pairs.append((encoder, DenseNetwork([Layer(dec_w, dec_b, "linear")])))
+    return pairs
 
 
 # ------------------------------------------------------------ serialization

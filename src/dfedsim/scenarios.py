@@ -77,9 +77,11 @@ from .ml_core import (
     AutoencoderConfig,
     ClassifierConfig,
     DenseNetwork,
+    _standardizer,
+    _train_autoencoders,
+    _train_classifiers,
     glorot_init,
-    train_autoencoder,
-    train_classifier,
+    train_classifier,  # noqa: F401  bench/test_bench.py wraps it under this module
 )
 from .rngs import substream
 from .topology import (
@@ -158,10 +160,10 @@ class ScenarioConfig:
             raise ConfigError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.max_step_m < 0:
-            raise ConfigError("max_step_m must be >= 0")
-        if self.mobility_radius_m <= 0:
-            raise ConfigError("mobility_radius_m must be > 0")
+        if not (math.isfinite(self.max_step_m) and self.max_step_m >= 0):
+            raise ConfigError("max_step_m must be finite and >= 0")
+        if not (math.isfinite(self.mobility_radius_m) and self.mobility_radius_m > 0):
+            raise ConfigError("mobility_radius_m must be finite and > 0")
         if (
             self.aggregation is AggregationMethod.RETRAINING
             and self.kind is ScenarioKind.DBFL_HETEROGENEOUS
@@ -243,6 +245,8 @@ class _DeviceRuntime:
     probe_y: np.ndarray
     feature_indices: tuple[int, ...] | None = None  # train_x holds only these columns
     local_net: DenseNetwork | None = None
+    # (mean, std) of train_x, computed on first use: the rows never change
+    scale: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -538,48 +542,75 @@ class _Run:
             if subset_plan is not None:
                 runtime.feature_indices = subset_plan.indices[index]
                 runtime.train_x = select_features(runtime.train_x, subset_plan, index)
-                ae_cfg = AutoencoderConfig(
+                runtime.scale = _standardizer(runtime.train_x, True)
+            devices[device.id] = runtime
+        if subset_plan is not None:
+            # every device's autoencoder is fitted in one stacked pass
+            runtimes = list(devices.values())
+            configs = [
+                AutoencoderConfig(
                     input_dim=plan.subset_size,
                     latent_dim=plan.latent_dim,
                     learning_rate=plan.ae_learning_rate,
                     epochs=plan.ae_epochs,
-                    seed=_derive_seed(self.config.seed, "autoencoder", device.id),
+                    seed=_derive_seed(self.config.seed, "autoencoder", r.device_id),
                 )
-                encoder, _ = train_autoencoder(ae_cfg, runtime.train_x)
+                for r in runtimes
+            ]
+            fitted = _train_autoencoders(
+                configs, [r.train_x for r in runtimes], [r.scale for r in runtimes]
+            )
+            for runtime, (encoder, _) in zip(runtimes, fitted):
                 head = glorot_init(
                     [plan.latent_dim, self.config.hidden_units, self.num_classes],
                     ["relu", "linear"],
-                    substream(self.config.seed, "classifier-init", device.id),
+                    substream(self.config.seed, "classifier-init", runtime.device_id),
                 )
                 # the encoder joins the classifier's gradient steps, so the
                 # latent code keeps adapting to what the classifier needs
                 runtime.local_net = DenseNetwork(encoder.layers + head.layers)
-            devices[device.id] = runtime
         return devices
 
     # ---------------------------------------------------------- training
 
-    def _train(self, runtime: _DeviceRuntime, round_index: int) -> ModelArtifact:
-        """One local update; returns the artifact the device ships."""
-        cfg = ClassifierConfig(
-            input_dim=runtime.train_x.shape[1],
-            hidden_units=self.config.hidden_units,
-            num_classes=self.num_classes,
-            learning_rate=self.config.learning_rate,
-            epochs=self.config.local_epochs,
-            batch_size=self.config.batch_size,
-            seed=_derive_seed(self.config.seed, "train", runtime.device_id, round_index),
+    def _train(self, runtimes: list[_DeviceRuntime], round_index: int) -> list[ModelArtifact]:
+        """One local update of every given device, in one stacked pass;
+        returns the artifacts they ship, in the same order."""
+        configs = [
+            ClassifierConfig(
+                input_dim=runtime.train_x.shape[1],
+                hidden_units=self.config.hidden_units,
+                num_classes=self.num_classes,
+                learning_rate=self.config.learning_rate,
+                epochs=self.config.local_epochs,
+                batch_size=self.config.batch_size,
+                seed=_derive_seed(self.config.seed, "train", runtime.device_id, round_index),
+            )
+            for runtime in runtimes
+        ]
+        for runtime, cfg in zip(runtimes, configs):
+            if runtime.scale is None:
+                runtime.scale = _standardizer(runtime.train_x, cfg.standardize)
+        nets = _train_classifiers(
+            configs,
+            [r.train_x for r in runtimes],
+            [r.train_y for r in runtimes],
+            [r.local_net for r in runtimes],
+            [r.scale for r in runtimes],
         )
-        runtime.local_net = train_classifier(
-            cfg, runtime.train_x, runtime.train_y, init=runtime.local_net
-        )
-        return ModelArtifact(
-            network=runtime.local_net,
-            source_id=runtime.device_id,
-            round_index=round_index,
-            signature=self.network.signature,
-            feature_indices=runtime.feature_indices,
-        )
+        artifacts = []
+        for runtime, net in zip(runtimes, nets):
+            runtime.local_net = net
+            artifacts.append(
+                ModelArtifact(
+                    network=net,
+                    source_id=runtime.device_id,
+                    round_index=round_index,
+                    signature=self.network.signature,
+                    feature_indices=runtime.feature_indices,
+                )
+            )
+        return artifacts
 
     def _probe_union(self, device_ids: tuple[int, ...]) -> ProbeSet:
         xs = [self.devices[d].probe_x for d in sorted(device_ids)]
@@ -646,9 +677,13 @@ class _Run:
         and the result at the base station; returns the test accuracy."""
         if not plan.groups:
             return 0.0
+        # training reads no aggregation result, so every participant trains
+        # before any group aggregates
+        artifacts = self._train([self.devices[d] for d in plan.participants], round_index)
+        trained = dict(zip(plan.participants, artifacts))
         level: list[_ProbModel] = []
         for head, members in plan.groups:
-            models = [_ProbModel(self._train(self.devices[m], round_index)) for m in members]
+            models = [_ProbModel(trained[m]) for m in members]
             if head is not None:
                 models = [self._aggregate(models, head, round_index, members)]
             level.extend(models)
@@ -697,8 +732,8 @@ def _sweep_configs(
     by (delay value, scenario kind); every point keeps the base seed."""
     if not delays:
         raise ConfigError("sweep needs at least one delay value")
-    if any(v <= 0 for v in delays):
-        raise ConfigError("sweep delays must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in delays):
+        raise ConfigError("sweep delays must be finite and positive")
     points = []
     for delay in delays:
         link = dataclasses.replace(base.link, delay_per_meter_s=delay)

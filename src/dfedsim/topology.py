@@ -57,8 +57,9 @@ class LinkModel:
     delay_per_meter_s: float = 1e-3
 
     def __post_init__(self):
-        if self.max_transmission_time_s <= 0 or self.delay_per_meter_s <= 0:
-            raise ValueError("link parameters must be strictly positive")
+        for value in (self.max_transmission_time_s, self.delay_per_meter_s):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("link parameters must be finite and strictly positive")
 
 
 def transmission_delay(

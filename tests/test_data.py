@@ -17,6 +17,7 @@ from dfedsim.data import (
     write_csv,
 )
 from dfedsim.errors import EmptyDataset, IndexOutOfRange, ParseError, SchemaMismatch
+from dfedsim.rngs import substream
 
 SCHEMA3 = DatasetSchema(num_features=3, num_classes=3, label_column="label")
 
@@ -349,6 +350,71 @@ def test_coverage_partition_tops_up_with_replacement_when_starved():
     parts = partition(x, y, plan)
     assert all(p.features.shape == (40, 4) for p in parts)
     assert any(p.with_replacement for p in parts)
+
+
+def coverage_partition_oracle(x, y, plan):
+    """The per-row coverage loop as it stood before the arc patterns were
+    precomputed, kept verbatim as the reference."""
+    rng = substream(plan.seed, "partition")
+    out = []
+    angles = principal_plane_angles(x)
+    width = np.pi
+    in_arc = np.stack(
+        [
+            np.mod(angles - (-np.pi + 2.0 * np.pi * d / plan.devices), 2.0 * np.pi)
+            < width
+            for d in range(plan.devices)
+        ]
+    )
+    quota = [plan.samples_per_device] * plan.devices
+    chosen: list[list[int]] = [[] for _ in range(plan.devices)]
+    for i in rng.permutation(x.shape[0]):
+        eligible = [d for d in range(plan.devices) if in_arc[d, i] and quota[d] > 0]
+        if not eligible:
+            continue
+        # hand the row to the hungriest eligible device (ties: lower id)
+        d = max(eligible, key=lambda dd: (quota[dd], -dd))
+        chosen[d].append(int(i))
+        quota[d] -= 1
+    for d in range(plan.devices):
+        replace = quota[d] > 0
+        if replace:
+            arc_rows = np.flatnonzero(in_arc[d])
+            if arc_rows.shape[0] == 0:
+                arc_rows = np.arange(x.shape[0])
+            extra = arc_rows[rng.integers(0, arc_rows.shape[0], size=quota[d])]
+            idx = np.array(chosen[d] + extra.tolist(), dtype=np.int64)
+        else:
+            idx = np.array(chosen[d], dtype=np.int64)
+        out.append(DevicePartition(x[idx].copy(), y[idx].copy(), bool(replace)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "seed, samples, devices, per_device",
+    [
+        (0, 900, 3, 250),
+        (1, 2000, 5, 300),
+        (2, 1500, 5, 300),  # the pool just covers every quota
+        (3, 400, 4, 150),  # starved: tops up with replacement
+        (4, 60, 6, 40),
+        (5, 3000, 1, 900),
+        (6, 1200, 2, 700),
+        (7, 2500, 7, 200),
+        (8, 500, 9, 80),
+        (9, 1000, 5, 1),
+        (10, 30, 2, 25),
+        (11, 5000, 5, 1000),
+    ],
+)
+def test_coverage_partition_matches_the_per_row_loop(seed, samples, devices, per_device):
+    schema = DatasetSchema(num_features=8, num_classes=3)
+    x, y = gen_ring_sectors(schema, samples=samples, seed=seed, sectors=6)
+    plan = PartitionPlan(devices, per_device, strategy="coverage", seed=seed)
+    for got, want in zip(partition(x, y, plan), coverage_partition_oracle(x, y, plan), strict=True):
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.with_replacement == want.with_replacement
 
 
 def test_principal_plane_angles_recover_a_planted_plane():

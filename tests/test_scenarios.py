@@ -194,7 +194,7 @@ def test_homogeneous_devices_share_the_raw_feature_space():
     for runtime in run.devices.values():
         assert runtime.feature_indices is None
         assert runtime.train_x.shape[1] == SMALL_PLAN.schema.num_features
-        run._train(runtime, round_index=0)
+        run._train([runtime], round_index=0)
         # no encoder: the first layer consumes every raw feature
         first = runtime.local_net.layers[0]
         assert first.weights.shape == (config.hidden_units, SMALL_PLAN.schema.num_features)
