@@ -145,100 +145,141 @@ def mean_squared_error(net: DenseNetwork, features: np.ndarray, targets: np.ndar
     return float(np.mean((out - t) ** 2))
 
 
+@dataclass
+class _NetworkStack:
+    """D equal-shaped networks held in stacked parameters, which SGD
+    updates in place: ``weights[l]`` is (D, out, in), ``biases[l]`` (D, out)."""
+
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+    activations: list[str]
+
+    @classmethod
+    def of(cls, nets: list[DenseNetwork]) -> "_NetworkStack":
+        """Copies of the given networks' parameters, stacked."""
+        shapes = {tuple((l.weights.shape, l.activation) for l in net.layers) for net in nets}
+        if len(shapes) != 1:
+            raise DimensionMismatch("stacked networks need equal shapes and activations")
+        depth = range(len(nets[0].layers))
+        return cls(
+            [np.stack([net.layers[i].weights for net in nets]) for i in depth],
+            [np.stack([net.layers[i].bias for net in nets]) for i in depth],
+            [layer.activation for layer in nets[0].layers],
+        )
+
+    @property
+    def size(self) -> int:
+        return self.weights[0].shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        return self.weights[0].shape[2]
+
+    @property
+    def output_dim(self) -> int:
+        return self.weights[-1].shape[1]
+
+    def networks(self) -> list[DenseNetwork]:
+        layers = list(zip(self.weights, self.biases, self.activations))
+        return [
+            DenseNetwork([Layer(w[d], b[d], act) for w, b, act in layers])
+            for d in range(self.size)
+        ]
+
+
 def loss_gradients(
-    net: DenseNetwork,
+    net: DenseNetwork | _NetworkStack,
     features: np.ndarray,
     target: np.ndarray,
     loss: str = "cross_entropy",
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], float | np.ndarray]:
     """Analytic parameter gradients of the given loss.
 
     ``loss`` is "cross_entropy" (target = integer labels) or "mse"
     (target = real matrix matching the output shape). Returns per-layer
     (dW, db) in layer order plus the loss value.
+
+    The SGD trainers pass a `_NetworkStack` of D equal-shaped networks
+    instead, with ``features`` (D, B, in) and ``target`` stacked the same
+    way, one minibatch per network. A batched matmul makes the same BLAS
+    call for each network that it alone would, so network d's gradients
+    are bit for bit its solo ones. The gradients then come back stacked
+    (D, ...) and the loss as one value per network.
     """
-    x = _as_matrix(features, net.input_dim)
-    n = x.shape[0]
+    stacked = isinstance(net, _NetworkStack)
+    if stacked:
+        x = np.asarray(features, dtype=np.float64)
+        if x.ndim != 3 or x.shape[0] != net.size or x.shape[2] != net.input_dim:
+            raise DimensionMismatch(
+                f"expected ({net.size}, rows, {net.input_dim}) stacked samples, got {x.shape}"
+            )
+    else:
+        x = _as_matrix(features, net.input_dim)
+        net = _NetworkStack(
+            [layer.weights[np.newaxis] for layer in net.layers],
+            [layer.bias[np.newaxis] for layer in net.layers],
+            [layer.activation for layer in net.layers],
+        )
+    rows = x.shape[:-1]
+    n = rows[-1]
     if n == 0:
         raise EmptyDataset("cannot compute gradients on an empty batch")
     if loss == "cross_entropy":
         t = np.asarray(target)
-        if t.shape != (n,):
-            raise DimensionMismatch(f"expected {n} labels in a 1-D array, got shape {t.shape}")
+        if t.shape != rows:
+            raise DimensionMismatch(f"expected labels of shape {rows}, got shape {t.shape}")
         if t.min() < 0 or t.max() >= net.output_dim:
             raise ValueError(f"labels must lie in [0, {net.output_dim})")
-        t = t.astype(int)
+        t = t.astype(int, copy=False)
     elif loss == "mse":
         t = np.asarray(target, dtype=np.float64)
-        if t.shape != (n, net.output_dim):
+        if t.shape != rows + (net.output_dim,):
             raise DimensionMismatch(
-                f"target shape {t.shape} != output shape {(n, net.output_dim)}"
+                f"target shape {t.shape} != output shape {rows + (net.output_dim,)}"
             )
     else:
         raise ValueError(f"unknown loss {loss!r}")
+    if not stacked:
+        x, t = x[np.newaxis], t[np.newaxis]
 
-    grads, out = _backprop(
-        [layer.weights[np.newaxis] for layer in net.layers],
-        [layer.bias[np.newaxis] for layer in net.layers],
-        [layer.activation for layer in net.layers],
-        x[np.newaxis],
-        t[np.newaxis],
-        loss,
-    )
-    if loss == "cross_entropy":
-        value = _logit_cross_entropy(out[0], t)
-    else:
-        value = float(np.mean((out[0] - t) ** 2))
-    return [(dw[0], db[0]) for dw, db in grads], value
-
-
-def _backprop(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    activations: list[str],
-    x: np.ndarray,
-    target: np.ndarray,
-    loss: str,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Mean-loss gradients of D equal-shaped networks, one minibatch each.
-
-    ``weights[l]`` is (D, out, in), ``biases[l]`` (D, out) and ``x``
-    (D, B, in); ``target`` is (D, B) integer labels for "cross_entropy" or
-    a (D, B, out) real array for "mse". A batched matmul makes the same
-    BLAS call for each device that its network alone would, so device d's
-    gradients are bit for bit its solo ones. Returns the per-layer stacked
-    (dW, db) in layer order and the network outputs (D, B, out).
-    """
     post = [x]  # the input and each layer's activated output
     out = x
-    for w, b, act in zip(weights, biases, activations):
+    for w, b, act in zip(net.weights, net.biases, net.activations):
         out = out @ w.transpose(0, 2, 1)
         out += b[:, np.newaxis, :]
         out = _activate(out, act)
         post.append(out)
 
-    n = x.shape[1]
     if loss == "cross_entropy":
-        delta = softmax(out)
-        delta[np.arange(x.shape[0])[:, np.newaxis], np.arange(n), target] -= 1.0
+        # softmax(out) and the loss of `_logit_cross_entropy`, sharing terms
+        shifted = out - out.max(axis=2, keepdims=True)
+        delta = np.exp(shifted)
+        norm = delta.sum(axis=2, keepdims=True)
+        picks = (np.arange(x.shape[0])[:, np.newaxis], np.arange(n), t)
+        value = np.mean(np.log(norm[:, :, 0]) - shifted[picks], axis=1)
+        delta /= norm
+        delta[picks] -= 1.0
         delta /= n
     else:
-        delta = out - target
+        delta = out - t
+        value = np.mean(delta**2, axis=(1, 2))
         delta *= 2.0
         delta /= n * out.shape[2]
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(weights)  # type: ignore
-    for idx in range(len(weights) - 1, -1, -1):
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.weights)  # type: ignore
+    for idx in range(len(net.weights) - 1, -1, -1):
         # each activation's derivative, written in terms of its output
         activated = post[idx + 1]
-        if activations[idx] == "relu":
+        if net.activations[idx] == "relu":
             delta *= activated > 0.0
-        elif activations[idx] == "sigmoid":
+        elif net.activations[idx] == "sigmoid":
             delta *= activated * (1.0 - activated)
         grads[idx] = (delta.transpose(0, 2, 1) @ post[idx], delta.sum(axis=1))
         if idx > 0:
-            delta = delta @ weights[idx]
-    return grads, out
+            delta = delta @ net.weights[idx]
+    if stacked:
+        return grads, value
+    return [(dw[0], db[0]) for dw, db in grads], float(value[0])
 
 
 def glorot_init(
@@ -308,13 +349,29 @@ class AutoencoderConfig:
             raise ValueError(f"unknown activation {self.hidden_activation!r}")
 
 
-def _standardizer(x: np.ndarray, enabled: bool) -> tuple[np.ndarray, np.ndarray]:
-    if not enabled:
-        return np.zeros(x.shape[1]), np.ones(x.shape[1])
+def feature_scale(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (mean, std) of a sample matrix, a zero std read as 1:
+    the z-score a trainer whose config sets ``standardize`` applies."""
+    x = np.asarray(features, dtype=np.float64)
     mean = x.mean(axis=0)
     std = x.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    return mean, std
+    return mean, np.where(std == 0.0, 1.0, std)
+
+
+def _input_scales(
+    standardize: bool,
+    xs: list[np.ndarray],
+    scales: list[tuple[np.ndarray, np.ndarray]] | None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (mean, std) that each device's rows are standardized with."""
+    if not standardize:
+        return [(np.zeros(x.shape[1]), np.ones(x.shape[1])) for x in xs]
+    if scales is None:
+        return [feature_scale(x) for x in xs]
+    for x, (mean, std) in zip(xs, scales, strict=True):
+        if mean.shape != (x.shape[1],) or std.shape != (x.shape[1],):
+            raise DimensionMismatch("scales need one mean and one std per feature column")
+    return list(scales)
 
 
 def _fold_input_transform(net: DenseNetwork, mean: np.ndarray, std: np.ndarray) -> DenseNetwork:
@@ -351,18 +408,13 @@ def _sgd(
     ``substream(seeds[d], stream, epoch)`` and standardizes each minibatch
     with its ``scales[d] = (mean, std)``. It learns ``labels[d]`` under
     cross-entropy or, with ``labels`` None, reconstructs the standardized
-    minibatch itself under squared error (an autoencoder). Every device
-    comes out bit for bit as if trained alone.
+    minibatch itself under squared error (an autoencoder). Each minibatch
+    of all D devices is one `loss_gradients` call on their stack, and
+    every device comes out bit for bit as if trained alone.
     """
-    shapes = {
-        (x.shape, tuple((layer.weights.shape, layer.activation) for layer in net.layers))
-        for x, net in zip(xs, nets)
-    }
-    if len(shapes) != 1:
-        raise DimensionMismatch("stacked training needs equal-shaped data and networks")
-    activations = [layer.activation for layer in nets[0].layers]
-    weights = [np.stack([net.layers[i].weights for net in nets]) for i in range(len(activations))]
-    biases = [np.stack([net.layers[i].bias for net in nets]) for i in range(len(activations))]
+    if len({x.shape for x in xs}) != 1:
+        raise DimensionMismatch("stacked training needs equal-shaped data")
+    stack = _NetworkStack.of(nets)
     mean = np.stack([m for m, _ in scales])[:, np.newaxis, :]
     std = np.stack([s for _, s in scales])[:, np.newaxis, :]
 
@@ -385,16 +437,13 @@ def _sgd(
             batch -= mean
             batch /= std
             target = batch if labels is None else ordered[:, start : start + batch_size]
-            grads, _ = _backprop(weights, biases, activations, batch, target, loss)
-            for w, b, (dw, db) in zip(weights, biases, grads):
+            grads, _ = loss_gradients(stack, batch, target, loss)
+            for w, b, (dw, db) in zip(stack.weights, stack.biases, grads):
                 dw *= learning_rate
                 w -= dw
                 db *= learning_rate
                 b -= db
-    return [
-        DenseNetwork([Layer(w[d], b[d], act) for w, b, act in zip(weights, biases, activations)])
-        for d in range(len(nets))
-    ]
+    return stack.networks()
 
 
 def _shared_hyperparameters(configs: list) -> None:
@@ -403,37 +452,37 @@ def _shared_hyperparameters(configs: list) -> None:
 
 
 def train_classifier(
-    config: ClassifierConfig,
-    features: np.ndarray,
-    labels: np.ndarray,
-    init: DenseNetwork | None = None,
-) -> DenseNetwork:
+    config: ClassifierConfig | list[ClassifierConfig],
+    features: np.ndarray | list[np.ndarray],
+    labels: np.ndarray | list[np.ndarray],
+    init: DenseNetwork | list[DenseNetwork | None] | None = None,
+    *,
+    scales: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> DenseNetwork | list[DenseNetwork]:
     """Minibatch-SGD training of the softmax classifier.
 
     With ``init`` the network continues from the given parameters (warm
     start) instead of a fresh seeded initialization; the seed then only
     drives minibatch shuffling.
+
+    Given a list of configs that differ only in their seeds, with one
+    entry per device in ``features``, ``labels`` and ``init`` (or ``init``
+    None), the devices train in one stacked SGD pass; the list of networks
+    that comes back is bit for bit what each device gets alone. ``scales``
+    lists ``feature_scale(features[d])`` of each device, computed earlier
+    by a caller that trains the same rows again (one pair for one config);
+    a config that does not standardize ignores them.
     """
-    return _train_classifiers([config], [features], [labels], [init])[0]
-
-
-def _train_classifiers(
-    configs: list[ClassifierConfig],
-    features: list[np.ndarray],
-    labels: list[np.ndarray],
-    inits: list[DenseNetwork | None],
-    scales: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> list[DenseNetwork]:
-    """``train_classifier`` for D devices in one stacked SGD pass.
-
-    The configs may differ only in their seeds. ``scales[d]``, when given,
-    is ``_standardizer(features[d], configs[d].standardize)`` computed
-    earlier, which a caller training the same rows every round can keep.
-    """
+    single = isinstance(config, ClassifierConfig)
+    if single:
+        configs, features, labels, inits = [config], [features], [labels], [init]
+        scales = None if scales is None else [scales]
+    else:
+        configs, inits = config, init or [None] * len(config)
     _shared_hyperparameters(configs)
     config = configs[0]
     xs, ys = [], []
-    for x, y in zip(features, labels):
+    for x, y in zip(features, labels, strict=True):
         x = _as_matrix(x, config.input_dim)
         y = np.asarray(y).astype(int)
         if x.shape[0] == 0:
@@ -444,12 +493,11 @@ def _train_classifiers(
             raise ValueError(f"labels must lie in [0, {config.num_classes})")
         xs.append(x)
         ys.append(y)
-    if scales is None:
-        scales = [_standardizer(x, config.standardize) for x in xs]
+    scales = _input_scales(config.standardize, xs, scales)
 
     nets = []
-    for cfg, init, (mean, std) in zip(configs, inits, scales):
-        if init is None:
+    for cfg, net, (mean, std) in zip(configs, inits, scales, strict=True):
+        if net is None:
             if config.hidden_units > 0:
                 dims = [config.input_dim, config.hidden_units, config.num_classes]
                 acts = ["relu", "linear"]
@@ -458,44 +506,47 @@ def _train_classifiers(
                 acts = ["linear"]
             nets.append(glorot_init(dims, acts, substream(cfg.seed, "classifier-init")))
         else:
-            if init.input_dim != config.input_dim or init.output_dim != config.num_classes:
+            if net.input_dim != config.input_dim or net.output_dim != config.num_classes:
                 raise DimensionMismatch("init network does not match the config dimensions")
-            nets.append(_unfold_input_transform(init, mean, std))
+            nets.append(_unfold_input_transform(net, mean, std))
 
     trained = _sgd(
         nets, xs, scales, ys,
         config.epochs, config.learning_rate, config.batch_size,
         [cfg.seed for cfg in configs], config.shuffle, "classifier-shuffle",
     )
-    return [_fold_input_transform(net, mean, std) for net, (mean, std) in zip(trained, scales)]
+    folded = [_fold_input_transform(net, mean, std) for net, (mean, std) in zip(trained, scales)]
+    return folded[0] if single else folded
 
 
 def train_autoencoder(
-    config: AutoencoderConfig, features: np.ndarray
-) -> tuple[DenseNetwork, DenseNetwork]:
+    config: AutoencoderConfig | list[AutoencoderConfig],
+    features: np.ndarray | list[np.ndarray],
+    *,
+    scales: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> tuple[DenseNetwork, DenseNetwork] | list[tuple[DenseNetwork, DenseNetwork]]:
     """Train a single-hidden-layer autoencoder; returns (encoder, decoder).
 
     The encoder maps raw features to the latent space; the decoder maps
     latent codes back to raw feature space (the internal z-score transform
-    is folded into both).
+    is folded into both). A list of configs trains one autoencoder per
+    device in one stacked pass, as `train_classifier` does, and returns
+    their (encoder, decoder) pairs.
     """
-    return _train_autoencoders([config], [features])[0]
-
-
-def _train_autoencoders(
-    configs: list[AutoencoderConfig],
-    features: list[np.ndarray],
-    scales: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> list[tuple[DenseNetwork, DenseNetwork]]:
-    """``train_autoencoder`` for D devices in one stacked SGD pass; the
-    configs and ``scales`` work as in ``_train_classifiers``."""
+    single = isinstance(config, AutoencoderConfig)
+    if single:
+        configs, features = [config], [features]
+        scales = None if scales is None else [scales]
+    else:
+        configs = config
     _shared_hyperparameters(configs)
     config = configs[0]
     xs = [_as_matrix(x, config.input_dim) for x in features]
+    if len(xs) != len(configs):
+        raise ValueError(f"{len(configs)} configs but {len(xs)} sample matrices")
     if any(x.shape[0] == 0 for x in xs):
         raise EmptyDataset("training needs at least one sample")
-    if scales is None:
-        scales = [_standardizer(x, config.standardize) for x in xs]
+    scales = _input_scales(config.standardize, xs, scales)
 
     nets = [
         glorot_init(
@@ -519,7 +570,7 @@ def _train_autoencoders(
         dec_w = dec_layer.weights * std[:, np.newaxis]
         dec_b = dec_layer.bias * std + mean
         pairs.append((encoder, DenseNetwork([Layer(dec_w, dec_b, "linear")])))
-    return pairs
+    return pairs[0] if single else pairs
 
 
 # ------------------------------------------------------------ serialization

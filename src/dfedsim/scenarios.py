@@ -41,6 +41,7 @@ every draw unchanged.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -77,11 +78,10 @@ from .ml_core import (
     AutoencoderConfig,
     ClassifierConfig,
     DenseNetwork,
-    _standardizer,
-    _train_autoencoders,
-    _train_classifiers,
+    feature_scale,
     glorot_init,
-    train_classifier,  # noqa: F401  bench/test_bench.py wraps it under this module
+    train_autoencoder,
+    train_classifier,
 )
 from .rngs import substream
 from .topology import (
@@ -245,8 +245,12 @@ class _DeviceRuntime:
     probe_y: np.ndarray
     feature_indices: tuple[int, ...] | None = None  # train_x holds only these columns
     local_net: DenseNetwork | None = None
-    # (mean, std) of train_x, computed on first use: the rows never change
-    scale: tuple[np.ndarray, np.ndarray] | None = None
+
+    @functools.cached_property
+    def scale(self) -> tuple[np.ndarray, np.ndarray]:
+        """`feature_scale` of train_x, computed on first use: the rows
+        never change once training starts."""
+        return feature_scale(self.train_x)
 
 
 @dataclass(frozen=True)
@@ -542,7 +546,6 @@ class _Run:
             if subset_plan is not None:
                 runtime.feature_indices = subset_plan.indices[index]
                 runtime.train_x = select_features(runtime.train_x, subset_plan, index)
-                runtime.scale = _standardizer(runtime.train_x, True)
             devices[device.id] = runtime
         if subset_plan is not None:
             # every device's autoencoder is fitted in one stacked pass
@@ -557,8 +560,8 @@ class _Run:
                 )
                 for r in runtimes
             ]
-            fitted = _train_autoencoders(
-                configs, [r.train_x for r in runtimes], [r.scale for r in runtimes]
+            fitted = train_autoencoder(
+                configs, [r.train_x for r in runtimes], scales=[r.scale for r in runtimes]
             )
             for runtime, (encoder, _) in zip(runtimes, fitted):
                 head = glorot_init(
@@ -588,15 +591,12 @@ class _Run:
             )
             for runtime in runtimes
         ]
-        for runtime, cfg in zip(runtimes, configs):
-            if runtime.scale is None:
-                runtime.scale = _standardizer(runtime.train_x, cfg.standardize)
-        nets = _train_classifiers(
+        nets = train_classifier(
             configs,
             [r.train_x for r in runtimes],
             [r.train_y for r in runtimes],
             [r.local_net for r in runtimes],
-            [r.scale for r in runtimes],
+            scales=[r.scale for r in runtimes],
         )
         artifacts = []
         for runtime, net in zip(runtimes, nets):

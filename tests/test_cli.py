@@ -4,14 +4,11 @@ Every test drives run_cli() in process with a shrunken config so the
 whole module stays fast; stdout/stderr go through capsys.
 """
 
-import copy
 import csv
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dfedsim import __version__
 from dfedsim.cli import (
@@ -23,7 +20,6 @@ from dfedsim.cli import (
     config_to_dict,
     run_cli,
 )
-from dfedsim.errors import ConfigError
 from dfedsim.scenarios import ScenarioConfig, ScenarioKind
 
 SMALL = {
@@ -291,38 +287,6 @@ def test_non_finite_settings_exit_one_with_one_line(tmp_path, capsys, extra, arg
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("dfedsim: config:")
-
-
-def _numeric_paths(node, path=()):
-    """Every (path, value) leaf of a config dict that holds a number."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield from _numeric_paths(value, path + (key,))
-    elif isinstance(node, list):
-        for index, value in enumerate(node):
-            yield from _numeric_paths(value, path + (index,))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield path
-
-
-DEFAULT_DICT = config_to_dict(config_from_dict({"kind": "dbfl_heterogeneous"}))
-NUMERIC_PATHS = sorted(_numeric_paths(DEFAULT_DICT), key=repr)
-AWKWARD = st.sampled_from([NAN, INF, -INF, 0, 0.0, -1, -0.5, 1e308]) | st.floats()
-
-
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(NUMERIC_PATHS), AWKWARD), min_size=1, max_size=3))
-def test_numeric_settings_build_a_config_or_raise_config_error(edits):
-    data = copy.deepcopy(DEFAULT_DICT)
-    for path, value in edits:
-        holder = data
-        for key in path[:-1]:
-            holder = holder[key]
-        holder[path[-1]] = value
-    try:
-        assert isinstance(config_from_dict(data), ScenarioConfig)
-    except ConfigError:
-        pass
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The stacked trainer against the per-device SGD loop it replaced.
 
-`ml_core._sgd` trains D equal-shaped networks in one pass. The functions
-below, from `one_hot` to `_sgd`, are the per-device loop as it stood
-before, kept verbatim as the reference: every device must come out of the
-stacked pass with exactly the bytes it gets when trained alone.
+`ml_core._sgd` trains D equal-shaped networks in one pass, one
+`loss_gradients` call on their stack per minibatch. The functions below,
+down to `_sgd`, are the per-device loop as it stood before, kept verbatim
+as the reference: every device must come out of the stacked pass with
+exactly the bytes it gets when trained alone.
 """
 
 import numpy as np
@@ -15,8 +16,7 @@ from dfedsim.ml_core import (
     DenseNetwork,
     _activate,
     _as_matrix,
-    _logit_cross_entropy,
-    _standardizer,
+    feature_scale,
     glorot_init,
 )
 from dfedsim.rngs import substream
@@ -40,6 +40,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _logit_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    y = np.asarray(labels).astype(int)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    picked = shifted[np.arange(logits.shape[0]), y]
+    return float(np.mean(log_norm - picked))
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -156,7 +164,7 @@ def _devices(count, rows, dims, acts, loss, seed):
         xs.append(x)
         labels.append(rng.integers(0, dims[-1], size=rows) if loss == "cross_entropy" else None)
         nets.append(glorot_init(dims, acts, substream(seed, "net", d)))
-        scales.append(_standardizer(x, True))
+        scales.append(feature_scale(x))
     return xs, labels, nets, scales
 
 
@@ -235,4 +243,79 @@ def test_stacked_devices_must_share_hyperparameters():
                                      learning_rate=0.5)
     xs, labels, _, _ = _devices(2, 30, [6, 5, 3], ["relu", "linear"], "cross_entropy", 6)
     with pytest.raises(ValueError):
-        ml_core._train_classifiers([base, other], xs, labels, [None, None])
+        ml_core.train_classifier([base, other], xs, labels)
+
+
+@pytest.mark.parametrize("dims, acts, loss", SHAPES)
+def test_stacked_loss_gradients_are_each_networks_own(dims, acts, loss):
+    rng = np.random.default_rng(7 + len(dims))
+    nets = [glorot_init(dims, acts, substream(d, "stack-net")) for d in range(3)]
+    x = rng.normal(size=(3, 11, dims[0]))
+    if loss == "cross_entropy":
+        target = rng.integers(0, dims[-1], size=(3, 11))
+    else:
+        target = rng.normal(size=(3, 11, dims[-1]))
+    grads, values = ml_core.loss_gradients(ml_core._NetworkStack.of(nets), x, target, loss)
+    assert values.shape == (3,)
+    for d, net in enumerate(nets):
+        want, want_value = loss_gradients(net, x[d], target[d], loss=loss)
+        assert values[d] == want_value
+        for (gw, gb), (ww, wb) in zip(grads, want, strict=True):
+            assert gw[d].tobytes() == ww.tobytes()
+            assert gb[d].tobytes() == wb.tobytes()
+    with pytest.raises(DimensionMismatch):
+        ml_core.loss_gradients(ml_core._NetworkStack.of(nets), x[:2], target[:2], loss)
+
+
+def _same_bytes(a: DenseNetwork, b: DenseNetwork) -> None:
+    for got, want in zip(a.layers, b.layers, strict=True):
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+
+
+@pytest.mark.parametrize("hidden_units, standardize", [(5, True), (0, True), (5, False)])
+def test_a_list_of_configs_trains_each_device_as_alone(hidden_units, standardize):
+    xs, labels, _, _ = _devices(3, 50, [6, 5, 3], ["relu", "linear"], "cross_entropy", 8)
+    configs = [
+        ml_core.ClassifierConfig(
+            input_dim=6, hidden_units=hidden_units, num_classes=3, epochs=2,
+            batch_size=16, seed=40 + d, standardize=standardize,
+        )
+        for d in range(3)
+    ]
+    alone = [ml_core.train_classifier(c, x, y) for c, x, y in zip(configs, xs, labels)]
+    # a warm start from the first pass, as a device's next round is
+    again = [
+        ml_core.train_classifier(c, x, y, init=net)
+        for c, x, y, net in zip(configs, xs, labels, alone)
+    ]
+    scales = [feature_scale(x) for x in xs]
+    for got, want in zip(ml_core.train_classifier(configs, xs, labels), alone):
+        _same_bytes(got, want)
+    stacked = ml_core.train_classifier(configs, xs, labels, alone, scales=scales)
+    for got, want in zip(stacked, again):
+        _same_bytes(got, want)
+
+
+def test_a_list_of_autoencoder_configs_trains_each_device_as_alone():
+    xs, _, _, _ = _devices(3, 40, [6, 4, 6], ["sigmoid", "linear"], "mse", 9)
+    configs = [
+        ml_core.AutoencoderConfig(input_dim=6, latent_dim=4, epochs=2, batch_size=16, seed=d)
+        for d in range(3)
+    ]
+    stacked = ml_core.train_autoencoder(
+        configs, xs, scales=[feature_scale(x) for x in xs]
+    )
+    for (enc, dec), c, x in zip(stacked, configs, xs, strict=True):
+        want_enc, want_dec = ml_core.train_autoencoder(c, x)
+        _same_bytes(enc, want_enc)
+        _same_bytes(dec, want_dec)
+
+
+def test_scales_that_do_not_fit_the_features_are_rejected():
+    xs, labels, _, _ = _devices(2, 30, [6, 5, 3], ["relu", "linear"], "cross_entropy", 10)
+    configs = [ml_core.ClassifierConfig(input_dim=6, hidden_units=5, num_classes=3, seed=d)
+               for d in range(2)]
+    narrow = [(np.zeros(5), np.ones(5))] * 2
+    with pytest.raises(DimensionMismatch):
+        ml_core.train_classifier(configs, xs, labels, scales=narrow)
