@@ -12,7 +12,7 @@ from dfedsim import (
     PartitionPlan,
     ScenarioConfig,
     ScenarioKind,
-    run_scenario,
+    compare_scenarios,
     total_energy,
 )
 
@@ -23,11 +23,10 @@ plan = DataPlan(
     ae_epochs=10,
 )
 
-results = {}
-for kind in ScenarioKind:
-    config = ScenarioConfig(kind=kind, rounds=16, seed=0, data=plan, local_epochs=2)
-    traces = run_scenario(config)
-    results[kind] = traces
+# the three schemes share one dataset, built once
+base = ScenarioConfig(kind=ScenarioKind.CVFL, rounds=16, seed=0, data=plan, local_epochs=2)
+results = compare_scenarios(base)
+for kind, traces in results.items():
     curve = " ".join(f"{t.accuracy:.2f}" for t in traces[::3])
     print(f"{kind.value:<20} accuracy every 3rd round: {curve}")
 

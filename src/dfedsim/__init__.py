@@ -71,6 +71,7 @@ from .scenarios import (
     RoundTrace,
     ScenarioConfig,
     ScenarioKind,
+    compare_scenarios,
     default_devices,
     delay_sweep,
     run_scenario,

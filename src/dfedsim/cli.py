@@ -1,11 +1,12 @@
 """Command-line interface: configure runs, execute them, emit result files.
 
 Five subcommands: `run` (one scenario), `compare` (all three scenarios on a
-shared seed), `sweep` (energy across a delay sweep), `gen-data` (synthetic
-dataset to CSV), `validate` (config lint). Configuration comes from an
-optional JSON file mirroring the ScenarioConfig field names; command-line
-flags override file values. Every output file is a deterministic function
-of the resolved config; wall-clock timestamps appear only in the manifest.
+shared seed and dataset), `sweep` (energy across a delay sweep), `gen-data`
+(synthetic dataset to CSV), `validate` (config lint). Configuration comes
+from an optional JSON file mirroring the ScenarioConfig field names, each
+value checked against its field's type; command-line flags override file
+values. Every output file is a deterministic function of the resolved
+config; wall-clock timestamps appear only in the manifest.
 
 Exit codes: 0 success, 1 configuration problem, 2 data problem, 3 runtime
 failure. Failures print one line to stderr: `dfedsim: <category>: <reason>`.
@@ -19,7 +20,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
+import types
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,6 +46,7 @@ from .scenarios import (
     ScenarioConfig,
     ScenarioKind,
     _sweep_configs,
+    compare_scenarios,
     run_scenario,
     total_energy,
 )
@@ -87,10 +92,36 @@ _NESTED = {
 }
 
 
+def _fits(value, annotation) -> bool:
+    """Whether a decoded JSON value may fill a field of this annotation:
+    ``int`` takes non-bool ints, ``float`` ints or finite floats, a union
+    any of its arms, and any other class its instances."""
+    if isinstance(annotation, types.UnionType):
+        return any(_fits(value, arm) for arm in typing.get_args(annotation))
+    if annotation is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if annotation is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
+    return isinstance(value, annotation)
+
+
+def _describe(annotation) -> str:
+    words = {int: "an integer", float: "a finite number", type(None): "null"}
+    arms = typing.get_args(annotation) or (annotation,)
+    return " or ".join(words.get(arm, arm.__name__) for arm in arms)
+
+
 def _build(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be an object, got {type(data).__name__}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
+    # the annotations are strings under postponed evaluation
+    hints = typing.get_type_hints(cls)
     unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ConfigError(f"unknown key(s) under {context}: {', '.join(unknown)}")
@@ -107,10 +138,14 @@ def _build(cls, data: dict, context: str):
             kwargs[name] = _parse_kind(value)
         elif cls is ScenarioConfig and name == "aggregation":
             kwargs[name] = _parse_enum(AggregationMethod, value, "aggregation")
-        elif name in nested and value is not None:
+        elif name in nested:
             kwargs[name] = _build(nested[name], value, f"{context}.{name}")
-        else:
+        elif _fits(value, hints[name]):
             kwargs[name] = value
+        else:
+            raise ConfigError(
+                f"{context}.{name} must be {_describe(hints[name])}, got {value!r}"
+            )
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -260,9 +295,8 @@ def _cmd_compare(args) -> int:
     outputs = []
     summary_rows = []
     dicts, digests = [], []
-    for kind in ScenarioKind:
+    for kind, traces in compare_scenarios(base).items():
         config = dataclasses.replace(base, kind=kind)
-        traces = run_scenario(config)
         trace_path = out / f"trace_{kind.value}.csv"
         _write_rows(trace_path, TRACE_HEADER, _trace_rows(kind, traces))
         outputs.append(trace_path)

@@ -344,17 +344,17 @@ def partition(
                 idx = np.array(chosen[d] + extra.tolist(), dtype=np.int64)
             else:
                 idx = np.array(chosen[d], dtype=np.int64)
-            out.append(DevicePartition(x[idx].copy(), y[idx].copy(), bool(replace)))
+            out.append(DevicePartition(x[idx], y[idx], bool(replace)))
         return out
     if total <= x.shape[0]:
         order = rng.permutation(x.shape[0])
         for d in range(plan.devices):
             idx = order[d * plan.samples_per_device : (d + 1) * plan.samples_per_device]
-            out.append(DevicePartition(x[idx].copy(), y[idx].copy(), False))
+            out.append(DevicePartition(x[idx], y[idx], False))
     else:
         for d in range(plan.devices):
             idx = rng.integers(0, x.shape[0], size=plan.samples_per_device)
-            out.append(DevicePartition(x[idx].copy(), y[idx].copy(), True))
+            out.append(DevicePartition(x[idx], y[idx], True))
     return out
 
 
@@ -373,7 +373,8 @@ def select_features(
             raise IndexOutOfRange(
                 f"feature index {c} outside matrix with {x.shape[1]} columns"
             )
-    return x[:, list(cols)].copy()
+    # take, unlike x[:, cols], returns a fresh C-ordered matrix
+    return x.take(list(cols), axis=1)
 
 
 @dataclass(frozen=True)

@@ -111,18 +111,6 @@ def predict_proba(net: DenseNetwork, features: np.ndarray) -> np.ndarray:
     return softmax(net.forward(features))
 
 
-def check_probability_matrix(probs: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise if ``probs`` is not a valid row-stochastic probability matrix."""
-    p = np.asarray(probs)
-    if p.ndim != 2:
-        raise DimensionMismatch("probability matrix must be 2-D")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    deviation = np.abs(p.sum(axis=1) - 1.0)
-    if np.any(deviation > tol):
-        raise ValueError(f"row sums deviate from 1 by up to {deviation.max():.3g}")
-
-
 def cross_entropy(net: DenseNetwork, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy treating the network output as logits."""
     return _logit_cross_entropy(net.forward(features), labels)
@@ -134,15 +122,6 @@ def _logit_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(logits.shape[0]), y]
     return float(np.mean(log_norm - picked))
-
-
-def mean_squared_error(net: DenseNetwork, features: np.ndarray, targets: np.ndarray) -> float:
-    """Mean over all entries of the squared reconstruction error."""
-    out = net.forward(features)
-    t = np.asarray(targets, dtype=np.float64)
-    if t.shape != out.shape:
-        raise DimensionMismatch(f"target shape {t.shape} != output shape {out.shape}")
-    return float(np.mean((out - t) ** 2))
 
 
 @dataclass

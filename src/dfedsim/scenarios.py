@@ -482,46 +482,62 @@ class _Network:
         )
 
 
+@dataclass(frozen=True)
+class _Dataset:
+    """A run's data: the held-out test split and one partition per device
+    in device-id order. Every array is read-only, so runs that share one
+    dataset cannot write into each other's data."""
+
+    test_x: np.ndarray
+    test_y: np.ndarray
+    partitions: tuple[DevicePartition, ...]
+
+
+def _build_dataset(config: ScenarioConfig) -> _Dataset:
+    """Load or generate the config's data, hold out the test split and
+    partition the rest over the fleet.
+
+    Reads only ``config.data``, ``len(config.devices)`` and ``config.seed``,
+    never the scenario kind, so the kinds of one base config can share it.
+    """
+    plan = config.data
+    devices = len(config.devices)
+    if plan.csv_path is not None:
+        features, labels = load_csv(plan.csv_path, plan.schema)
+    else:
+        total = devices * plan.partition.samples_per_device + plan.test_samples
+        features, labels = _generate(plan, total, config.seed)
+    if features.shape[0] <= plan.test_samples:
+        raise ConfigError("dataset smaller than the held-out test split")
+    pool = features.shape[0] - plan.test_samples
+    part_plan = dataclasses.replace(plan.partition, devices=devices, seed=config.seed)
+    parts = tuple(partition(features[:pool], labels[:pool], part_plan))
+    dataset = _Dataset(features[pool:], labels[pool:], parts)
+    arrays = [dataset.test_x, dataset.test_y]
+    for part in parts:
+        arrays += [part.features, part.labels]
+    for array in arrays:
+        array.flags.writeable = False
+    return dataset
+
+
 class _Run:
     """One run: the network plane plans and charges each round, then the
     learning plane (device data, local models, aggregation) trains it."""
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, dataset: _Dataset):
         self.config = config
         self.network = _Network(config)
         self.schema = config.data.schema
         self.num_classes = self.schema.num_classes
-        self.devices = self._prepare_devices()
+        self.test_x = dataset.test_x
+        self.test_y = dataset.test_y
+        self.devices = self._prepare_devices(dataset.partitions)
 
     # ------------------------------------------------------------ setup
 
-    def _load_dataset(self) -> tuple[np.ndarray, np.ndarray]:
+    def _prepare_devices(self, parts: tuple[DevicePartition, ...]) -> dict[int, _DeviceRuntime]:
         plan = self.config.data
-        if plan.csv_path is not None:
-            return load_csv(plan.csv_path, self.schema)
-        total = (
-            len(self.config.devices) * plan.partition.samples_per_device
-            + plan.test_samples
-        )
-        return _generate(plan, total, self.config.seed)
-
-    def _prepare_devices(self) -> dict[int, _DeviceRuntime]:
-        plan = self.config.data
-        features, labels = self._load_dataset()
-        if features.shape[0] <= plan.test_samples:
-            raise ConfigError("dataset smaller than the held-out test split")
-        self.test_x = features[-plan.test_samples :]
-        self.test_y = labels[-plan.test_samples :]
-        pool_x = features[: -plan.test_samples]
-        pool_y = labels[: -plan.test_samples]
-
-        part_plan = dataclasses.replace(
-            plan.partition,
-            devices=len(self.config.devices),
-            seed=self.config.seed,
-        )
-        parts = partition(pool_x, pool_y, part_plan)
-
         subset_plan = None
         if self.network.hetero:
             subset_plan = FeatureSubsetPlan.random(
@@ -713,7 +729,20 @@ class _Run:
 
 def run_scenario(config: ScenarioConfig) -> list[RoundTrace]:
     """Simulate one scenario; returns one trace per communication round."""
-    return _Run(config).execute()
+    return _Run(config, _build_dataset(config)).execute()
+
+
+def compare_scenarios(base: ScenarioConfig) -> dict[ScenarioKind, list[RoundTrace]]:
+    """Run every scenario kind on the base config's fleet, data and seed.
+
+    All kinds' configs are built, and so checked, before any data is built
+    or any round runs. The kinds then share one dataset, which reads no
+    kind, so each run's traces equal those of its own ``run_scenario``.
+    Keys come in ``ScenarioKind`` order.
+    """
+    configs = [dataclasses.replace(base, kind=kind) for kind in ScenarioKind]
+    dataset = _build_dataset(base)
+    return {config.kind: _Run(config, dataset).execute() for config in configs}
 
 
 def total_energy(traces: list[RoundTrace]) -> float:

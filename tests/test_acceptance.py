@@ -16,7 +16,7 @@ import pytest
 from test_aggregation import make_artifact, make_probe
 from test_clustering import SIG, encoding_of, make_devices, oracle_best
 from test_head_selection import _rank, random_candidates
-from test_ml_core import grads_close, numeric_grads, random_net
+from test_ml_core import check_probability_matrix, grads_close, numeric_grads, random_net
 
 from dfedsim.aggregation import (
     adaptive_accuracy,
@@ -32,7 +32,6 @@ from dfedsim.energy import EnergyParams, quantize, round_energy
 from dfedsim.head_selection import select_head
 from dfedsim.ml_core import (
     ClassifierConfig,
-    check_probability_matrix,
     loss_gradients,
     predict_proba,
     train_classifier,
@@ -41,8 +40,9 @@ from dfedsim.scenarios import (
     ScenarioConfig,
     ScenarioKind,
     _Run,
+    _build_dataset,
+    compare_scenarios,
     delay_sweep,
-    run_scenario,
 )
 
 SWEEP_DELAYS = [0.001, 0.0015, 0.002, 0.0025, 0.003]
@@ -64,10 +64,7 @@ def report(name, ok, detail):
 def full_runs():
     """The three scenarios at full size on one seed, plus wall time."""
     start = time.time()
-    runs = {
-        kind: run_scenario(ScenarioConfig(kind=kind, rounds=100, seed=0))
-        for kind in ScenarioKind
-    }
+    runs = compare_scenarios(ScenarioConfig(kind=ScenarioKind.CVFL, rounds=100, seed=0))
     return runs, time.time() - start
 
 
@@ -272,7 +269,7 @@ def test_energy_ledger_exactness():
     conservation_breaks = 0
     for kind in ScenarioKind:
         config = ScenarioConfig(kind=kind, rounds=6, seed=0, data=SMALL_PLAN)
-        run = _Run(config)
+        run = _Run(config, _build_dataset(config))
         traces = run.execute()
         for device in config.devices:
             spent = sum(t.energy_spent.get(device.id, 0.0) for t in traces)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from test_ml_core import check_probability_matrix
+
 from dfedsim.aggregation import (
     ADAPTIVE_GRID_STEP,
     ADAPTIVE_MAX_SWEEPS,
@@ -31,7 +33,6 @@ from dfedsim.ml_core import (
     ClassifierConfig,
     DenseNetwork,
     Layer,
-    check_probability_matrix,
     glorot_init,
     predict_proba,
     softmax,

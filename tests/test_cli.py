@@ -128,6 +128,16 @@ def test_compare_twice_is_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_compare_rejects_an_unsupported_kind_before_writing_anything(tmp_path, capsys):
+    # retrain cannot aggregate dbfl_heterogeneous, the last kind compare runs
+    cfg = write_config(tmp_path, extra={"aggregation": "retrain"})
+    out = tmp_path / "out"
+    assert run_cli(["compare", "--config", cfg, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dfedsim: config:")
+    assert not out.exists() or not any(out.iterdir())
+
+
 # ----------------------------------------------------------------- sweep
 
 
@@ -287,6 +297,31 @@ def test_non_finite_settings_exit_one_with_one_line(tmp_path, capsys, extra, arg
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("dfedsim: config:")
+
+
+MISTYPED = [
+    ({"rounds": 2.5}, "config.rounds must be an integer"),
+    ({"rounds": NAN}, "config.rounds must be an integer"),
+    ({"hidden_units": 2.5}, "config.hidden_units must be an integer"),
+    ({"batch_size": 7.5}, "config.batch_size must be an integer"),
+    ({"seed": 1.5}, "config.seed must be an integer"),
+    # a bool is no integer here, although Python counts it as one
+    ({"local_epochs": True}, "config.local_epochs must be an integer"),
+    ({"link": {"delay_per_meter_s": True}}, "config.link.delay_per_meter_s must be a finite"),
+    ({"data": {"spread": NAN}}, "config.data.spread must be a finite number"),
+]
+
+
+@pytest.mark.parametrize("extra, reason", MISTYPED, ids=[json.dumps(e) for e, _ in MISTYPED])
+def test_mistyped_settings_exit_one_with_one_line(tmp_path, capsys, extra, reason):
+    cfg = write_config(tmp_path, extra=extra)
+    out = tmp_path / "out"
+    code = run_cli(["run", "--scenario", "cvfl", "--config", cfg, "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("dfedsim: config:")
+    assert reason in lines[0]
+    assert not out.exists()
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

@@ -9,18 +9,37 @@ from dfedsim.ml_core import (
     ClassifierConfig,
     DenseNetwork,
     Layer,
-    check_probability_matrix,
     cross_entropy,
     glorot_init,
     load_network,
     loss_gradients,
-    mean_squared_error,
     predict_proba,
     save_network,
     train_autoencoder,
     train_classifier,
 )
 from dfedsim.rngs import substream
+
+
+def check_probability_matrix(probs: np.ndarray, tol: float = 1e-9) -> None:
+    """Raise if ``probs`` is not a valid row-stochastic probability matrix."""
+    p = np.asarray(probs)
+    if p.ndim != 2:
+        raise DimensionMismatch("probability matrix must be 2-D")
+    if np.any(p < 0.0) or np.any(p > 1.0):
+        raise ValueError("probabilities must lie in [0, 1]")
+    deviation = np.abs(p.sum(axis=1) - 1.0)
+    if np.any(deviation > tol):
+        raise ValueError(f"row sums deviate from 1 by up to {deviation.max():.3g}")
+
+
+def mean_squared_error(net: DenseNetwork, features: np.ndarray, targets: np.ndarray) -> float:
+    """Mean over all entries of the squared reconstruction error."""
+    out = net.forward(features)
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != out.shape:
+        raise DimensionMismatch(f"target shape {t.shape} != output shape {out.shape}")
+    return float(np.mean((out - t) ** 2))
 
 
 def random_net(rng, dims=None, final="linear"):

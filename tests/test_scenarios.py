@@ -9,8 +9,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dfedsim import scenarios
 from dfedsim.aggregation import AggregationMethod
-from dfedsim.data import DataPlan, PartitionPlan
+from dfedsim.data import DataPlan, PartitionPlan, _generate, write_csv
 from dfedsim.errors import ConfigError
 from dfedsim.head_selection import HeadPolicy
 from dfedsim.scenarios import (
@@ -20,6 +21,8 @@ from dfedsim.scenarios import (
     ScenarioKind,
     _Network,
     _Run,
+    _build_dataset,
+    compare_scenarios,
     default_devices,
     delay_sweep,
     run_scenario,
@@ -170,7 +173,8 @@ def test_sweep_rejects_bad_values():
 
 
 def test_heterogeneous_devices_get_private_encoders():
-    run = _Run(small_config(ScenarioKind.DBFL_HETEROGENEOUS))
+    config = small_config(ScenarioKind.DBFL_HETEROGENEOUS)
+    run = _Run(config, _build_dataset(config))
     plans = set()
     encoders = set()
     for dev_id, runtime in sorted(run.devices.items()):
@@ -190,7 +194,7 @@ def test_heterogeneous_devices_get_private_encoders():
 
 def test_homogeneous_devices_share_the_raw_feature_space():
     config = small_config(ScenarioKind.DBFL_HOMOGENEOUS)
-    run = _Run(config)
+    run = _Run(config, _build_dataset(config))
     for runtime in run.devices.values():
         assert runtime.feature_indices is None
         assert runtime.train_x.shape[1] == SMALL_PLAN.schema.num_features
@@ -210,7 +214,8 @@ def test_autoencoder_fit_charged_once_at_round_zero():
     t_rich = run_scenario(
         ScenarioConfig(kind=ScenarioKind.DBFL_HETEROGENEOUS, rounds=1, data=rich, seed=0)
     )
-    run = _Run(ScenarioConfig(kind=ScenarioKind.DBFL_HETEROGENEOUS, rounds=0, data=lean, seed=0))
+    config = ScenarioConfig(kind=ScenarioKind.DBFL_HETEROGENEOUS, rounds=0, data=lean, seed=0)
+    run = _Run(config, _build_dataset(config))
     for dev_id in t_lean[0].participants:
         extra = t_rich[0].energy_spent[dev_id] - t_lean[0].energy_spent[dev_id]
         samples = run.devices[dev_id].train_x.shape[0]
@@ -261,16 +266,21 @@ def test_energy_does_not_depend_on_learning(kind, field, a, b):
         assert tb.energy_spent == plan.charges == ta.energy_spent
 
 
-@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
-def test_drained_fleet_finishes_with_empty_rounds(kind):
-    # the three BS-capable devices drain in round 0; the mobile pair that is
-    # left can never reach the base station, so no cluster can form
-    devices = tuple(
+def drained_devices():
+    """The default fleet with the three base-station-capable devices at
+    almost no battery: they die in round 0."""
+    return tuple(
         dataclasses.replace(d, battery=0.001) if d.id in (0, 1, 2) else d
         for d in default_devices()
     )
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_drained_fleet_finishes_with_empty_rounds(kind):
+    # the mobile pair that is left can never reach the base station, so no
+    # cluster can form
     cfg = small_config(
-        kind, devices=devices, head_policy=HeadPolicy(reselect_interval_rounds=1)
+        kind, devices=drained_devices(), head_policy=HeadPolicy(reselect_interval_rounds=1)
     )
     first, *rest = run_scenario(cfg)
     assert set(first.participants) >= {0, 1, 2}
@@ -330,3 +340,77 @@ def test_accuracy_climbs_on_an_easy_task():
     accs = [t.accuracy for t in run_scenario(cfg)]
     assert accs[-1] > 0.5  # far beyond the 1/9 chance level
     assert accs[-1] > accs[0]
+
+
+# ------------------------------------------------------- shared dataset
+
+
+def assert_compare_matches_separate_runs(base):
+    runs = compare_scenarios(base)
+    assert list(runs) == list(ScenarioKind)
+    for kind, traces in runs.items():
+        alone = run_scenario(dataclasses.replace(base, kind=kind))
+        assert repr(traces) == repr(alone), kind
+
+
+COMPARE_CASES = {
+    "seed-0": {},
+    "seed-3": {"seed": 3},
+    "iid": {
+        "data": dataclasses.replace(
+            SMALL_PLAN,
+            partition=PartitionPlan(devices=5, samples_per_device=150, strategy="iid"),
+        )
+    },
+    "drained": {
+        "devices": drained_devices(),
+        "head_policy": HeadPolicy(reselect_interval_rounds=1),
+    },
+    "adaptive": {"aggregation": AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING},
+    "meta": {"aggregation": AggregationMethod.META_LEARNING},
+}
+
+
+@pytest.mark.parametrize("case", list(COMPARE_CASES))
+def test_compare_scenarios_equals_one_run_per_kind(case):
+    # SMALL_PLAN partitions by coverage and the default method is weighted
+    base = small_config(ScenarioKind.CVFL, rounds=2)
+    assert_compare_matches_separate_runs(dataclasses.replace(base, **COMPARE_CASES[case]))
+
+
+def test_compare_scenarios_on_a_csv_dataset_equals_one_run_per_kind(tmp_path):
+    features, labels = _generate(SMALL_PLAN, 5 * 150 + 300, seed=5)
+    path = tmp_path / "data.csv"
+    write_csv(path, features, labels, SMALL_PLAN.schema)
+    plan = dataclasses.replace(SMALL_PLAN, csv_path=str(path))
+    base = small_config(ScenarioKind.CVFL, rounds=2)
+    assert_compare_matches_separate_runs(dataclasses.replace(base, data=plan))
+
+
+def test_compare_scenarios_checks_every_kind_before_building_data(monkeypatch):
+    def no_data(config):
+        raise AssertionError("data was built before every config was checked")
+
+    monkeypatch.setattr(scenarios, "_build_dataset", no_data)
+    base = small_config(ScenarioKind.CVFL, aggregation=AggregationMethod.RETRAINING)
+    with pytest.raises(ConfigError, match="dbfl_heterogeneous"):
+        compare_scenarios(base)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_a_runs_shared_data_is_read_only(kind):
+    config = small_config(kind, rounds=0)
+    dataset = _build_dataset(config)
+    run = _Run(config, dataset)
+    with pytest.raises(ValueError):
+        run.test_x[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        run.test_y[0] = 0
+    for part in dataset.partitions:
+        with pytest.raises(ValueError):
+            part.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            part.labels[0] = 0
+    for runtime in run.devices.values():
+        with pytest.raises(ValueError):
+            runtime.probe_x[0, 0] = 1.0
