@@ -61,9 +61,7 @@ from .ml_core import (
     ClassifierConfig,
     DenseNetwork,
     Layer,
-    load_network,
     predict_proba,
-    save_network,
     train_autoencoder,
     train_classifier,
 )

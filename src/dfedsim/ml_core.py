@@ -8,7 +8,9 @@ the inverse transform into its output layer. Training is bitwise
 deterministic for a given config seed; minibatch shuffling depends only on
 (seed, epoch), never on data order. Equal-shaped networks of several
 devices train in one stacked SGD pass, and each comes out bit for bit as
-if it had trained alone.
+if it had trained alone. The parameter arrays of every network the
+trainers return are read-only, so callers may share one; ``copy`` gives a
+writable one.
 """
 
 from __future__ import annotations
@@ -412,7 +414,7 @@ def _sgd(
         for start in range(0, n, batch_size):
             batch = buffer[:, : min(batch_size, n - start)]
             for x, order, rows in zip(xs, orders, batch):
-                np.take(x, order[start : start + batch_size], axis=0, out=rows, mode="clip")
+                x.take(order[start : start + batch_size], axis=0, out=rows, mode="clip")
             batch -= mean
             batch /= std
             target = batch if labels is None else ordered[:, start : start + batch_size]
@@ -423,6 +425,15 @@ def _sgd(
                 db *= learning_rate
                 b -= db
     return stack.networks()
+
+
+def _read_only(net: DenseNetwork) -> DenseNetwork:
+    """Mark every parameter array of a trained network read-only, so that
+    callers which share one network cannot write into each other's model."""
+    for layer in net.layers:
+        layer.weights.flags.writeable = False
+        layer.bias.flags.writeable = False
+    return net
 
 
 def _shared_hyperparameters(configs: list) -> None:
@@ -494,7 +505,10 @@ def train_classifier(
         config.epochs, config.learning_rate, config.batch_size,
         [cfg.seed for cfg in configs], config.shuffle, "classifier-shuffle",
     )
-    folded = [_fold_input_transform(net, mean, std) for net, (mean, std) in zip(trained, scales)]
+    folded = [
+        _read_only(_fold_input_transform(net, mean, std))
+        for net, (mean, std) in zip(trained, scales)
+    ]
     return folded[0] if single else folded
 
 
@@ -548,36 +562,6 @@ def train_autoencoder(
         # Un-standardize the decoder output: x_raw = std * x_std + mean.
         dec_w = dec_layer.weights * std[:, np.newaxis]
         dec_b = dec_layer.bias * std + mean
-        pairs.append((encoder, DenseNetwork([Layer(dec_w, dec_b, "linear")])))
+        decoder = DenseNetwork([Layer(dec_w, dec_b, "linear")])
+        pairs.append((_read_only(encoder), _read_only(decoder)))
     return pairs[0] if single else pairs
-
-
-# ------------------------------------------------------------ serialization
-
-FORMAT_VERSION = 1
-
-
-def save_network(net: DenseNetwork, path) -> None:
-    """Write a flat, versioned dump of layer shapes and parameters (.npz)."""
-    payload: dict[str, np.ndarray] = {
-        "format_version": np.array([FORMAT_VERSION], dtype=np.int64),
-        "num_layers": np.array([len(net.layers)], dtype=np.int64),
-        "activations": np.array([l.activation for l in net.layers]),
-    }
-    for i, layer in enumerate(net.layers):
-        payload[f"w{i}"] = layer.weights
-        payload[f"b{i}"] = layer.bias
-    np.savez(path, **payload)
-
-
-def load_network(path) -> DenseNetwork:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"][0])
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported network format version {version}")
-        count = int(data["num_layers"][0])
-        activations = [str(a) for a in data["activations"]]
-        layers = [
-            Layer(data[f"w{i}"], data[f"b{i}"], activations[i]) for i in range(count)
-        ]
-    return DenseNetwork(layers)

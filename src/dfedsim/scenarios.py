@@ -31,6 +31,16 @@ projection, trained on jointly with the classifier layers above it.
 Elsewhere the projection is the identity and the network a plain
 classifier on the raw features.
 
+Runs over one dataset advance round by round, in lockstep (``_lockstep``):
+``compare_scenarios`` runs its three kinds that way, and ``run_scenario``
+is the one-run case. Each round every distinct training request (device,
+classifier config, start network, training rows) trains once, and every
+run that made it gets the same network, which is also scored only once on
+the test split. Start networks and rows match by identity, so a device's
+model is shared between two runs only while its history in both is the
+same: one missed round or an earlier death and its requests part for good.
+Nothing is kept across rounds.
+
 Everything is a deterministic function of the config seed: data
 generation, partitioning, mobility, training shuffles, and consumption
 cycles all come from labelled substreams of that one seed. Learning draws
@@ -43,6 +53,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -54,7 +65,6 @@ from .aggregation import (
     ProbeSet,
     _adaptive_weights,
     adaptive_average,
-    aggregate_weighted,
     artifact_probabilities,
     closest_member,
     member_probabilities,
@@ -64,7 +74,6 @@ from .aggregation import (
 from .clustering import ClusterAssignment, ClusterPolicy, DataSignature, form_clusters
 from .data import (
     DataPlan,
-    DevicePartition,
     FeatureSubsetPlan,
     _generate,
     load_csv,
@@ -215,42 +224,55 @@ def _seed_node_key(node_id: int) -> int | str:
 class _ProbModel:
     """One node of the aggregation tree.
 
-    ``artifact`` is the concrete model a node relays onward (for weighted
-    and adaptive methods the member closest to the average); calling
-    ``probabilities`` evaluates what the aggregation at this node actually
-    computes, which for averaging methods is the combination of all
-    children, not just the relayed artifact.
+    ``artifact`` is the concrete model a node relays onward, or None where
+    no level above reads one. A device's leaf carries its trained model, a
+    meta or retrain node the model it trained, and an adaptive head the
+    member closest to its average, which the base station scores on its
+    probe. Weighted nodes and the adaptive base station carry None.
+    Calling ``probabilities`` evaluates what the aggregation at this node
+    actually computes, which for averaging methods is the combination of
+    all children, not a relayed artifact.
     """
 
-    artifact: ModelArtifact
+    artifact: ModelArtifact | None
     children: list["_ProbModel"] | None = None
     method: AggregationMethod | None = None
     weights: np.ndarray | None = None
 
-    def probabilities(self, features: np.ndarray) -> np.ndarray:
+    def probabilities(self, score: Callable[[ModelArtifact], np.ndarray]) -> np.ndarray:
+        """The node's class probabilities, given ``score``: artifact ->
+        that artifact's probabilities on the rows being evaluated."""
         if not self.children:
-            return artifact_probabilities(self.artifact, features)
-        stacked = np.stack([c.probabilities(features) for c in self.children])
+            return score(self.artifact)
+        stacked = np.stack([c.probabilities(score) for c in self.children])
         if self.method is AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING:
             return adaptive_average(stacked, self.weights)
         return stacked.mean(axis=0)
 
 
-@dataclass
-class _DeviceRuntime:
-    device_id: int
+@dataclass(frozen=True)
+class _DeviceRows:
+    """One device's training rows and probe split. ``feature_indices``,
+    when set, names the raw columns ``train_x`` was projected onto."""
+
     train_x: np.ndarray
     train_y: np.ndarray
     probe_x: np.ndarray
     probe_y: np.ndarray
-    feature_indices: tuple[int, ...] | None = None  # train_x holds only these columns
-    local_net: DenseNetwork | None = None
+    feature_indices: tuple[int, ...] | None = None
 
     @functools.cached_property
     def scale(self) -> tuple[np.ndarray, np.ndarray]:
         """`feature_scale` of train_x, computed on first use: the rows
         never change once training starts."""
         return feature_scale(self.train_x)
+
+
+@dataclass
+class _DeviceRuntime:
+    device_id: int
+    rows: _DeviceRows
+    local_net: DenseNetwork | None = None
 
 
 @dataclass(frozen=True)
@@ -485,17 +507,19 @@ class _Network:
 @dataclass(frozen=True)
 class _Dataset:
     """A run's data: the held-out test split and one partition per device
-    in device-id order. Every array is read-only, so runs that share one
-    dataset cannot write into each other's data."""
+    in device-id order, split into its probe and training rows. Every array
+    is read-only, so runs that share one dataset cannot write into each
+    other's data; runs that train on raw features share the rows objects
+    too, and so their feature scales."""
 
     test_x: np.ndarray
     test_y: np.ndarray
-    partitions: tuple[DevicePartition, ...]
+    devices: tuple[_DeviceRows, ...]
 
 
 def _build_dataset(config: ScenarioConfig) -> _Dataset:
-    """Load or generate the config's data, hold out the test split and
-    partition the rest over the fleet.
+    """Load or generate the config's data, hold out the test split,
+    partition the rest over the fleet and split off each device's probe.
 
     Reads only ``config.data``, ``len(config.devices)`` and ``config.seed``,
     never the scenario kind, so the kinds of one base config can share it.
@@ -511,14 +535,20 @@ def _build_dataset(config: ScenarioConfig) -> _Dataset:
         raise ConfigError("dataset smaller than the held-out test split")
     pool = features.shape[0] - plan.test_samples
     part_plan = dataclasses.replace(plan.partition, devices=devices, seed=config.seed)
-    parts = tuple(partition(features[:pool], labels[:pool], part_plan))
-    dataset = _Dataset(features[pool:], labels[pool:], parts)
-    arrays = [dataset.test_x, dataset.test_y]
+    test_x, test_y = features[pool:], labels[pool:]
+    parts = partition(features[:pool], labels[:pool], part_plan)
+    arrays = [test_x, test_y]
     for part in parts:
         arrays += [part.features, part.labels]
     for array in arrays:
+        # before any view is taken: a view keeps the flag its base had then
         array.flags.writeable = False
-    return dataset
+    probe = _probe_rows(plan)
+    rows = tuple(
+        _DeviceRows(p.features[probe:], p.labels[probe:], p.features[:probe], p.labels[:probe])
+        for p in parts
+    )
+    return _Dataset(test_x, test_y, rows)
 
 
 class _Run:
@@ -527,110 +557,85 @@ class _Run:
 
     def __init__(self, config: ScenarioConfig, dataset: _Dataset):
         self.config = config
+        self.dataset = dataset
         self.network = _Network(config)
         self.schema = config.data.schema
         self.num_classes = self.schema.num_classes
-        self.test_x = dataset.test_x
-        self.test_y = dataset.test_y
-        self.devices = self._prepare_devices(dataset.partitions)
+        self.devices = self._prepare_devices()
 
     # ------------------------------------------------------------ setup
 
-    def _prepare_devices(self, parts: tuple[DevicePartition, ...]) -> dict[int, _DeviceRuntime]:
-        plan = self.config.data
-        subset_plan = None
-        if self.network.hetero:
-            subset_plan = FeatureSubsetPlan.random(
-                self.schema,
-                devices=len(self.config.devices),
-                subset_size=plan.subset_size,
-                seed=self.config.seed,
-            )
-
-        devices: dict[int, _DeviceRuntime] = {}
+    def _prepare_devices(self) -> dict[int, _DeviceRuntime]:
         ordered = sorted(self.config.devices, key=lambda d: d.id)
-        probe_len = _probe_rows(plan)
-        for index, device in enumerate(ordered):
-            data: DevicePartition = parts[index]
-            runtime = _DeviceRuntime(
-                device_id=device.id,
-                train_x=data.features[probe_len:],
-                train_y=data.labels[probe_len:],
-                probe_x=data.features[:probe_len],
-                probe_y=data.labels[:probe_len],
+        shared = self.dataset.devices
+        if not self.network.hetero:
+            return {
+                device.id: _DeviceRuntime(device.id, rows)
+                for device, rows in zip(ordered, shared)
+            }
+        plan = self.config.data
+        subset_plan = FeatureSubsetPlan.random(
+            self.schema,
+            devices=len(self.config.devices),
+            subset_size=plan.subset_size,
+            seed=self.config.seed,
+        )
+        runtimes = [
+            _DeviceRuntime(
+                device.id,
+                dataclasses.replace(
+                    rows,
+                    train_x=select_features(rows.train_x, subset_plan, index),
+                    feature_indices=subset_plan.indices[index],
+                ),
             )
-            if subset_plan is not None:
-                runtime.feature_indices = subset_plan.indices[index]
-                runtime.train_x = select_features(runtime.train_x, subset_plan, index)
-            devices[device.id] = runtime
-        if subset_plan is not None:
-            # every device's autoencoder is fitted in one stacked pass
-            runtimes = list(devices.values())
-            configs = [
-                AutoencoderConfig(
-                    input_dim=plan.subset_size,
-                    latent_dim=plan.latent_dim,
-                    learning_rate=plan.ae_learning_rate,
-                    epochs=plan.ae_epochs,
-                    seed=_derive_seed(self.config.seed, "autoencoder", r.device_id),
-                )
-                for r in runtimes
-            ]
-            fitted = train_autoencoder(
-                configs, [r.train_x for r in runtimes], scales=[r.scale for r in runtimes]
+            for index, (device, rows) in enumerate(zip(ordered, shared))
+        ]
+        # every device's autoencoder is fitted in one stacked pass
+        configs = [
+            AutoencoderConfig(
+                input_dim=plan.subset_size,
+                latent_dim=plan.latent_dim,
+                learning_rate=plan.ae_learning_rate,
+                epochs=plan.ae_epochs,
+                seed=_derive_seed(self.config.seed, "autoencoder", r.device_id),
             )
-            for runtime, (encoder, _) in zip(runtimes, fitted):
-                head = glorot_init(
-                    [plan.latent_dim, self.config.hidden_units, self.num_classes],
-                    ["relu", "linear"],
-                    substream(self.config.seed, "classifier-init", runtime.device_id),
-                )
-                # the encoder joins the classifier's gradient steps, so the
-                # latent code keeps adapting to what the classifier needs
-                runtime.local_net = DenseNetwork(encoder.layers + head.layers)
-        return devices
+            for r in runtimes
+        ]
+        fitted = train_autoencoder(
+            configs,
+            [r.rows.train_x for r in runtimes],
+            scales=[r.rows.scale for r in runtimes],
+        )
+        for runtime, (encoder, _) in zip(runtimes, fitted):
+            head = glorot_init(
+                [plan.latent_dim, self.config.hidden_units, self.num_classes],
+                ["relu", "linear"],
+                substream(self.config.seed, "classifier-init", runtime.device_id),
+            )
+            # the encoder joins the classifier's gradient steps, so the
+            # latent code keeps adapting to what the classifier needs
+            runtime.local_net = DenseNetwork(encoder.layers + head.layers)
+        return {r.device_id: r for r in runtimes}
 
     # ---------------------------------------------------------- training
 
-    def _train(self, runtimes: list[_DeviceRuntime], round_index: int) -> list[ModelArtifact]:
-        """One local update of every given device, in one stacked pass;
-        returns the artifacts they ship, in the same order."""
-        configs = [
-            ClassifierConfig(
-                input_dim=runtime.train_x.shape[1],
-                hidden_units=self.config.hidden_units,
-                num_classes=self.num_classes,
-                learning_rate=self.config.learning_rate,
-                epochs=self.config.local_epochs,
-                batch_size=self.config.batch_size,
-                seed=_derive_seed(self.config.seed, "train", runtime.device_id, round_index),
-            )
-            for runtime in runtimes
-        ]
-        nets = train_classifier(
-            configs,
-            [r.train_x for r in runtimes],
-            [r.train_y for r in runtimes],
-            [r.local_net for r in runtimes],
-            scales=[r.scale for r in runtimes],
+    def _classifier_config(
+        self, rows: _DeviceRows, device_id: int, round_index: int
+    ) -> ClassifierConfig:
+        return ClassifierConfig(
+            input_dim=rows.train_x.shape[1],
+            hidden_units=self.config.hidden_units,
+            num_classes=self.num_classes,
+            learning_rate=self.config.learning_rate,
+            epochs=self.config.local_epochs,
+            batch_size=self.config.batch_size,
+            seed=_derive_seed(self.config.seed, "train", device_id, round_index),
         )
-        artifacts = []
-        for runtime, net in zip(runtimes, nets):
-            runtime.local_net = net
-            artifacts.append(
-                ModelArtifact(
-                    network=net,
-                    source_id=runtime.device_id,
-                    round_index=round_index,
-                    signature=self.network.signature,
-                    feature_indices=runtime.feature_indices,
-                )
-            )
-        return artifacts
 
     def _probe_union(self, device_ids: tuple[int, ...]) -> ProbeSet:
-        xs = [self.devices[d].probe_x for d in sorted(device_ids)]
-        ys = [self.devices[d].probe_y for d in sorted(device_ids)]
+        xs = [self.devices[d].rows.probe_x for d in sorted(device_ids)]
+        ys = [self.devices[d].rows.probe_y for d in sorted(device_ids)]
         return ProbeSet(features=np.vstack(xs), labels=np.concatenate(ys))
 
     def _aggregate(
@@ -640,18 +645,38 @@ class _Run:
         round_index: int,
         member_ids: tuple[int, ...],
     ) -> "_ProbModel":
-        """Aggregate one level; the result carries both the relayable
-        artifact and the probability model the level actually computes."""
-        artifacts = [m.artifact for m in models]
-        probe = self._probe_union(member_ids)
+        """Aggregate one level; the result carries the probability model the
+        level computes and, where a level above reads one, the artifact it
+        relays (see `_ProbModel`)."""
         method = self.config.aggregation
         if method is AggregationMethod.WEIGHTED_AVERAGING:
-            selected, _ = aggregate_weighted(artifacts, probe)
-            return _ProbModel(selected, children=models, method=method)
+            return _ProbModel(None, children=models, method=method)
+        if method is AggregationMethod.RETRAINING:
+            pooled = [
+                (self.devices[d].rows.train_x, self.devices[d].rows.train_y)
+                for d in sorted(member_ids)
+            ]
+            cfg = ClassifierConfig(
+                input_dim=self.schema.num_features,
+                hidden_units=self.config.hidden_units,
+                num_classes=self.num_classes,
+                learning_rate=self.config.learning_rate,
+                epochs=self.config.local_epochs,
+                batch_size=self.config.batch_size,
+                seed=_derive_seed(
+                    self.config.seed, "retrain", _seed_node_key(source_id), round_index
+                ),
+            )
+            return _ProbModel(retrain_pooled(pooled, cfg, source_id=source_id), method=method)
+        artifacts = [m.artifact for m in models]
+        probe = self._probe_union(member_ids)
         if method is AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING:
             probs = member_probabilities(artifacts, probe)
             weights = _adaptive_weights(probs, probe.labels)
-            selected = closest_member(artifacts, probs, adaptive_average(probs, weights))
+            selected = None
+            if source_id != BS_NODE_ID:
+                # no level reads what the base station would relay
+                selected = closest_member(artifacts, probs, adaptive_average(probs, weights))
             return _ProbModel(selected, children=models, method=method, weights=weights)
         if method is AggregationMethod.META_LEARNING:
             cfg = ClassifierConfig(
@@ -667,36 +692,22 @@ class _Run:
             return _ProbModel(
                 train_meta(artifacts, probe, cfg, source_id=source_id), method=method
             )
-        if method is AggregationMethod.RETRAINING:
-            pooled = [
-                (self.devices[d].train_x, self.devices[d].train_y)
-                for d in sorted(member_ids)
-            ]
-            cfg = ClassifierConfig(
-                input_dim=self.schema.num_features,
-                hidden_units=self.config.hidden_units,
-                num_classes=self.num_classes,
-                learning_rate=self.config.learning_rate,
-                epochs=self.config.local_epochs,
-                batch_size=self.config.batch_size,
-                seed=_derive_seed(
-                    self.config.seed, "retrain", _seed_node_key(source_id), round_index
-                ),
-            )
-            return _ProbModel(retrain_pooled(pooled, cfg, source_id=source_id), method=method)
         raise ConfigError(f"unsupported aggregation method {method}")
 
     # ------------------------------------------------------------ rounds
 
-    def _learn(self, plan: _RoundPlan, round_index: int) -> float:
-        """Train every participant, aggregate each headed group at its head
-        and the result at the base station; returns the test accuracy."""
+    def _learn(
+        self,
+        plan: _RoundPlan,
+        round_index: int,
+        trained: dict[int, ModelArtifact],
+        score: Callable[[ModelArtifact], np.ndarray],
+    ) -> float:
+        """Aggregate each headed group's trained models at its head and the
+        result at the base station; returns the test accuracy, with
+        ``score`` giving an artifact's probabilities on the test split."""
         if not plan.groups:
             return 0.0
-        # training reads no aggregation result, so every participant trains
-        # before any group aggregates
-        artifacts = self._train([self.devices[d] for d in plan.participants], round_index)
-        trained = dict(zip(plan.participants, artifacts))
         level: list[_ProbModel] = []
         for head, members in plan.groups:
             models = [_ProbModel(trained[m]) for m in members]
@@ -704,32 +715,122 @@ class _Run:
                 models = [self._aggregate(models, head, round_index, members)]
             level.extend(models)
         global_model = self._aggregate(level, BS_NODE_ID, round_index, plan.participants)
-        probs = global_model.probabilities(self.test_x)
-        return float(np.mean(probs.argmax(axis=1) == self.test_y))
+        probs = global_model.probabilities(score)
+        return float(np.mean(probs.argmax(axis=1) == self.dataset.test_y))
 
-    def execute(self) -> list[RoundTrace]:
-        traces = []
-        for round_index in range(self.config.rounds):
-            # energy never reads a trained weight, so the round is charged
-            # before it is trained; learning draws only keyed substreams
-            plan = self.network.plan_round(round_index)
-            traces.append(
+
+def _layer_shapes(net: DenseNetwork | None) -> tuple | None:
+    return None if net is None else tuple(layer.weights.shape for layer in net.layers)
+
+
+def _train_round(
+    runs: list[_Run], plans: list[_RoundPlan], round_index: int
+) -> list[dict[int, ModelArtifact]]:
+    """Train every run's participants, each distinct request once; returns
+    each run's trained artifacts by device id.
+
+    A request is (device id, classifier config, start network, training
+    rows), with the network and rows matched by identity. Every object a
+    key names stays alive until the round ends, so no id is reused. Two
+    runs that make one request get the same network and artifact, and it
+    becomes both devices' local network. Requests of one network shape and
+    config (but the seed) train in one stacked pass.
+    """
+    requests: dict[tuple, tuple[_Run, _DeviceRuntime, ClassifierConfig]] = {}
+    asked = []
+    for run, plan in zip(runs, plans):
+        keys = []
+        for d in plan.participants:
+            runtime = run.devices[d]
+            config = run._classifier_config(runtime.rows, d, round_index)
+            key = (d, config, id(runtime.local_net), id(runtime.rows))
+            requests.setdefault(key, (run, runtime, config))
+            keys.append((runtime, key))
+        asked.append(keys)
+
+    stacks: dict[tuple, list[tuple]] = {}
+    for key, (_, runtime, config) in requests.items():
+        stack = (dataclasses.replace(config, seed=0), _layer_shapes(runtime.local_net))
+        stacks.setdefault(stack, []).append(key)
+    artifacts: dict[tuple, ModelArtifact] = {}
+    for keys in stacks.values():
+        asks = [requests[key] for key in keys]
+        nets = train_classifier(
+            [config for _, _, config in asks],
+            [r.rows.train_x for _, r, _ in asks],
+            [r.rows.train_y for _, r, _ in asks],
+            [r.local_net for _, r, _ in asks],
+            scales=[r.rows.scale for _, r, _ in asks],
+        )
+        for key, (run, runtime, _), net in zip(keys, asks, nets):
+            artifacts[key] = ModelArtifact(
+                network=net,
+                source_id=runtime.device_id,
+                round_index=round_index,
+                signature=run.network.signature,
+                feature_indices=runtime.rows.feature_indices,
+            )
+
+    trained = []
+    for keys in asked:
+        by_device = {}
+        for runtime, key in keys:
+            runtime.local_net = artifacts[key].network
+            by_device[runtime.device_id] = artifacts[key]
+        trained.append(by_device)
+    return trained
+
+
+def _test_scorer(features: np.ndarray) -> Callable[[ModelArtifact], np.ndarray]:
+    """``artifact_probabilities`` on ``features``, once per artifact. The
+    memo holds each artifact it has scored, so no id is reused."""
+    memo: dict[int, tuple[ModelArtifact, np.ndarray]] = {}
+
+    def score(artifact: ModelArtifact) -> np.ndarray:
+        if id(artifact) not in memo:
+            memo[id(artifact)] = (artifact, artifact_probabilities(artifact, features))
+        return memo[id(artifact)][1]
+
+    return score
+
+
+def _lockstep(runs: list[_Run]) -> list[list[RoundTrace]]:
+    """Advance runs over one dataset round by round; returns each run's
+    traces.
+
+    Each round every run's network plane plans and charges it, the
+    participants train (`_train_round`), and each run aggregates and scores
+    its round on the shared test split. Energy never reads a trained
+    weight, so a round is charged before it is trained, and learning draws
+    only keyed substreams: each run's traces equal those it gets alone.
+    """
+    dataset = runs[0].dataset
+    if any(run.dataset is not dataset for run in runs):
+        raise ValueError("runs in lockstep must share one dataset")
+    traces: list[list[RoundTrace]] = [[] for _ in runs]
+    for round_index in range(runs[0].config.rounds):
+        plans = [run.network.plan_round(round_index) for run in runs]
+        trained = _train_round(runs, plans, round_index)
+        score = _test_scorer(dataset.test_x)
+        for run, plan, models, out in zip(runs, plans, trained, traces):
+            out.append(
                 RoundTrace(
                     round_index=round_index,
                     participants=plan.participants,
                     clusters=plan.clusters,
                     head_ids=plan.head_ids,
-                    accuracy=self._learn(plan, round_index),
+                    accuracy=run._learn(plan, round_index, models, score),
                     energy_spent=plan.charges,
                     link_delays=plan.links,
                 )
             )
-        return traces
+    return traces
 
 
 def run_scenario(config: ScenarioConfig) -> list[RoundTrace]:
     """Simulate one scenario; returns one trace per communication round."""
-    return _Run(config, _build_dataset(config)).execute()
+    (traces,) = _lockstep([_Run(config, _build_dataset(config))])
+    return traces
 
 
 def compare_scenarios(base: ScenarioConfig) -> dict[ScenarioKind, list[RoundTrace]]:
@@ -737,12 +838,14 @@ def compare_scenarios(base: ScenarioConfig) -> dict[ScenarioKind, list[RoundTrac
 
     All kinds' configs are built, and so checked, before any data is built
     or any round runs. The kinds then share one dataset, which reads no
-    kind, so each run's traces equal those of its own ``run_scenario``.
-    Keys come in ``ScenarioKind`` order.
+    kind, and run in lockstep, sharing a device's model while its history
+    is the same in both runs; each run's traces equal those of its own
+    ``run_scenario``. Keys come in ``ScenarioKind`` order.
     """
     configs = [dataclasses.replace(base, kind=kind) for kind in ScenarioKind]
     dataset = _build_dataset(base)
-    return {config.kind: _Run(config, dataset).execute() for config in configs}
+    runs = [_Run(config, dataset) for config in configs]
+    return {config.kind: traces for config, traces in zip(configs, _lockstep(runs))}
 
 
 def total_energy(traces: list[RoundTrace]) -> float:

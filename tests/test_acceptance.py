@@ -41,6 +41,7 @@ from dfedsim.scenarios import (
     ScenarioKind,
     _Run,
     _build_dataset,
+    _lockstep,
     compare_scenarios,
     delay_sweep,
 )
@@ -270,7 +271,7 @@ def test_energy_ledger_exactness():
     for kind in ScenarioKind:
         config = ScenarioConfig(kind=kind, rounds=6, seed=0, data=SMALL_PLAN)
         run = _Run(config, _build_dataset(config))
-        traces = run.execute()
+        (traces,) = _lockstep([run])
         for device in config.devices:
             spent = sum(t.energy_spent.get(device.id, 0.0) for t in traces)
             state = run.network.energy_state

@@ -1,4 +1,4 @@
-"""Network training, gradients vs finite differences, and serialization."""
+"""Network training, gradients vs finite differences, and read-only results."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,8 @@ from dfedsim.ml_core import (
     Layer,
     cross_entropy,
     glorot_init,
-    load_network,
     loss_gradients,
     predict_proba,
-    save_network,
     train_autoencoder,
     train_classifier,
 )
@@ -333,28 +331,30 @@ def test_zero_weight_encoder_maps_to_zero():
     assert np.all(enc.forward(np.ones((4, 5))) == 0.0)
 
 
-def test_serialization_round_trips_bitwise(tmp_path):
-    rng = np.random.default_rng(517)
-    net = random_net(rng, dims=[7, 5, 3])
-    path = tmp_path / "model.npz"
-    save_network(net, path)
-    loaded = load_network(path)
-    assert len(loaded.layers) == len(net.layers)
-    for la, lb in zip(net.layers, loaded.layers):
-        assert np.array_equal(la.weights, lb.weights)
-        assert np.array_equal(la.bias, lb.bias)
-        assert la.activation == lb.activation
+def _assert_read_only(net):
+    for layer in net.layers:
+        with pytest.raises(ValueError):
+            layer.weights[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            layer.bias[0] = 1.0
 
 
-def test_serialization_rejects_unknown_version(tmp_path):
-    net = DenseNetwork([Layer(np.eye(2), np.zeros(2))])
-    path = tmp_path / "model.npz"
-    save_network(net, path)
-    data = dict(np.load(path, allow_pickle=False))
-    data["format_version"] = np.array([99], dtype=np.int64)
-    np.savez(path, **data)
-    with pytest.raises(ValueError):
-        load_network(path)
+def test_trained_networks_are_read_only():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(24, 4))
+    y = rng.integers(0, 3, size=24)
+    cfg = ClassifierConfig(input_dim=4, hidden_units=5, num_classes=3, batch_size=8)
+    _assert_read_only(train_classifier(cfg, x, y))
+    for net in train_classifier([cfg, cfg], [x, x], [y, y]):
+        _assert_read_only(net)
+    _assert_read_only(train_classifier(cfg, x, y, init=train_classifier(cfg, x, y)))
+    ae = AutoencoderConfig(input_dim=4, latent_dim=2, epochs=1, batch_size=8)
+    for pair in [train_autoencoder(ae, x), *train_autoencoder([ae, ae], [x, x])]:
+        for net in pair:
+            _assert_read_only(net)
+    # a copy is the caller's own, and writable
+    copy = train_classifier(cfg, x, y).copy()
+    copy.layers[0].weights[0, 0] = 1.0
 
 
 def test_network_shape_validation():

@@ -9,8 +9,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dfedsim import scenarios
-from dfedsim.aggregation import AggregationMethod
+from dfedsim import aggregation, scenarios
+from dfedsim.aggregation import AggregationMethod, artifact_probabilities, closest_member
 from dfedsim.data import DataPlan, PartitionPlan, _generate, write_csv
 from dfedsim.errors import ConfigError
 from dfedsim.head_selection import HeadPolicy
@@ -22,6 +22,7 @@ from dfedsim.scenarios import (
     _Network,
     _Run,
     _build_dataset,
+    _lockstep,
     compare_scenarios,
     default_devices,
     delay_sweep,
@@ -178,27 +179,29 @@ def test_heterogeneous_devices_get_private_encoders():
     plans = set()
     encoders = set()
     for dev_id, runtime in sorted(run.devices.items()):
-        assert runtime.feature_indices is not None
-        assert len(runtime.feature_indices) == SMALL_PLAN.subset_size
-        assert runtime.train_x.shape[1] == SMALL_PLAN.subset_size
+        assert runtime.rows.feature_indices is not None
+        assert len(runtime.rows.feature_indices) == SMALL_PLAN.subset_size
+        assert runtime.rows.train_x.shape[1] == SMALL_PLAN.subset_size
         # one network per device: its first layer is the fitted encoder
         encoder = runtime.local_net.layers[0]
         assert encoder.weights.shape == (SMALL_PLAN.latent_dim, SMALL_PLAN.subset_size)
         assert encoder.activation == "sigmoid"
         assert runtime.local_net.output_dim == SMALL_PLAN.schema.num_classes
-        plans.add(runtime.feature_indices)
+        plans.add(runtime.rows.feature_indices)
         encoders.add(encoder.weights.tobytes())
     assert len(plans) == 5  # all subsets differ
     assert len(encoders) == 5
 
 
 def test_homogeneous_devices_share_the_raw_feature_space():
-    config = small_config(ScenarioKind.DBFL_HOMOGENEOUS)
+    config = small_config(ScenarioKind.DBFL_HOMOGENEOUS, rounds=1)
     run = _Run(config, _build_dataset(config))
     for runtime in run.devices.values():
-        assert runtime.feature_indices is None
-        assert runtime.train_x.shape[1] == SMALL_PLAN.schema.num_features
-        run._train([runtime], round_index=0)
+        assert runtime.rows.feature_indices is None
+        assert runtime.rows.train_x.shape[1] == SMALL_PLAN.schema.num_features
+    (trace,) = _lockstep([run])[0]
+    assert trace.participants == tuple(run.devices)
+    for runtime in run.devices.values():
         # no encoder: the first layer consumes every raw feature
         first = runtime.local_net.layers[0]
         assert first.weights.shape == (config.hidden_units, SMALL_PLAN.schema.num_features)
@@ -218,7 +221,7 @@ def test_autoencoder_fit_charged_once_at_round_zero():
     run = _Run(config, _build_dataset(config))
     for dev_id in t_lean[0].participants:
         extra = t_rich[0].energy_spent[dev_id] - t_lean[0].energy_spent[dev_id]
-        samples = run.devices[dev_id].train_x.shape[0]
+        samples = run.devices[dev_id].rows.train_x.shape[0]
         cycle = run.network.cycles[dev_id].cycle
         expected = cycle * run.network.cycles[dev_id].compute_coeff * samples * 35
         assert extra == pytest.approx(expected, rel=1e-9)
@@ -345,6 +348,21 @@ def test_accuracy_climbs_on_an_easy_task():
 # ------------------------------------------------------- shared dataset
 
 
+def diverging_devices():
+    """The default fleet with device 2 low on battery. As a DBFL head it
+    dies in round 1, as a CVFL uploader in round 2. Its DBFL cluster then
+    sits out until the refresh in round 5, so device 1 misses rounds 2-4
+    there, while CVFL trains it in every round."""
+    return tuple(
+        dataclasses.replace(d, battery=0.555) if d.id == 2 else d for d in default_devices()
+    )
+
+
+def participation(config, device_id):
+    network = _Network(config)
+    return [device_id in network.plan_round(r).participants for r in range(config.rounds)]
+
+
 def assert_compare_matches_separate_runs(base):
     runs = compare_scenarios(base)
     assert list(runs) == list(ScenarioKind)
@@ -368,6 +386,7 @@ COMPARE_CASES = {
     },
     "adaptive": {"aggregation": AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING},
     "meta": {"aggregation": AggregationMethod.META_LEARNING},
+    "diverging": {"devices": diverging_devices(), "rounds": 6},
 }
 
 
@@ -375,7 +394,73 @@ COMPARE_CASES = {
 def test_compare_scenarios_equals_one_run_per_kind(case):
     # SMALL_PLAN partitions by coverage and the default method is weighted
     base = small_config(ScenarioKind.CVFL, rounds=2)
-    assert_compare_matches_separate_runs(dataclasses.replace(base, **COMPARE_CASES[case]))
+    base = dataclasses.replace(base, **COMPARE_CASES[case])
+    if case == "diverging":
+        # both runs train devices 1 and 2 in round 0, and so share their
+        # models at first; then their histories part
+        for device_id in (1, 2):
+            cvfl, dbfl = (
+                participation(dataclasses.replace(base, kind=kind), device_id)
+                for kind in (ScenarioKind.CVFL, ScenarioKind.DBFL_HOMOGENEOUS)
+            )
+            assert cvfl[0] and dbfl[0]
+            assert cvfl != dbfl
+    assert_compare_matches_separate_runs(base)
+
+
+def recording(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_compare_trains_and_scores_each_distinct_model_once(monkeypatch):
+    datasets = []
+
+    def build(config):
+        datasets.append(_build_dataset(config))
+        return datasets[-1]
+
+    monkeypatch.setattr(scenarios, "_build_dataset", build)
+    trained = []
+    monkeypatch.setattr(
+        scenarios, "train_classifier", recording(trained, scenarios.train_classifier)
+    )
+    # the aggregation binding is where probe rows would be scored
+    scored = []
+    for module in (scenarios, aggregation):
+        monkeypatch.setattr(
+            module, "artifact_probabilities", recording(scored, artifact_probabilities)
+        )
+    runs = compare_scenarios(small_config(ScenarioKind.CVFL))
+    (dataset,) = datasets
+
+    # nothing dies in these three rounds, so CVFL's devices train the same
+    # models as DBFL-homogeneous's; the train seed reads device and round
+    cvfl, homo, hetero = runs.values()
+    distinct = sum(
+        len(set(a.participants) | set(b.participants)) + len(c.participants)
+        for a, b, c in zip(cvfl, homo, hetero)
+    )
+    requests = [(cfg.seed, cfg.input_dim) for configs, *_ in trained for cfg in configs]
+    assert len(requests) == len(set(requests)) == distinct
+    assert all(features is dataset.test_x for _, features in scored)
+    networks = [artifact.network for artifact, _ in scored]
+    assert len({id(net) for net in networks}) == len(networks) == distinct
+
+
+def test_adaptive_base_station_picks_no_relay_member(monkeypatch):
+    picked = []
+    monkeypatch.setattr(scenarios, "closest_member", recording(picked, closest_member))
+    base = small_config(
+        ScenarioKind.CVFL, aggregation=AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING
+    )
+    runs = compare_scenarios(base)
+    heads = sum(len(t.head_ids) for traces in runs.values() for t in traces)
+    assert heads > 0
+    assert len(picked) == heads
 
 
 def test_compare_scenarios_on_a_csv_dataset_equals_one_run_per_kind(tmp_path):
@@ -403,14 +488,16 @@ def test_a_runs_shared_data_is_read_only(kind):
     dataset = _build_dataset(config)
     run = _Run(config, dataset)
     with pytest.raises(ValueError):
-        run.test_x[0, 0] = 1.0
+        dataset.test_x[0, 0] = 1.0
     with pytest.raises(ValueError):
-        run.test_y[0] = 0
-    for part in dataset.partitions:
-        with pytest.raises(ValueError):
-            part.features[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            part.labels[0] = 0
+        dataset.test_y[0] = 0
+    for rows in dataset.devices:
+        for array in (rows.train_x, rows.probe_x):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        for array in (rows.train_y, rows.probe_y):
+            with pytest.raises(ValueError):
+                array[0] = 0
     for runtime in run.devices.values():
         with pytest.raises(ValueError):
-            runtime.probe_x[0, 0] = 1.0
+            runtime.rows.probe_x[0, 0] = 1.0
