@@ -11,7 +11,6 @@ import numpy as np
 
 from dfedsim import (
     ClassifierConfig,
-    DataSignature,
     DatasetSchema,
     ModelArtifact,
     ProbeSet,
@@ -30,7 +29,6 @@ schema = DatasetSchema(num_features=60, num_classes=9)
 features, labels = gen_ring_sectors(schema, 2400, seed=21, sectors=9, latent_factors=8)
 test_x, test_y = features[1800:], labels[1800:]
 probe = ProbeSet(features=features[1600:1800], labels=labels[1600:1800])
-signature = DataSignature(feature_dim=60, label_set=frozenset(range(9)))
 
 config = ClassifierConfig(input_dim=60, hidden_units=40, num_classes=9,
                           learning_rate=0.05, epochs=12, seed=9)
@@ -41,8 +39,7 @@ members = []
 member_data = []
 for device_id, (lo, hi) in enumerate(slices):
     net = train_classifier(config, features[lo:hi], labels[lo:hi])
-    members.append(ModelArtifact(network=net, source_id=device_id,
-                                 round_index=0, signature=signature))
+    members.append(ModelArtifact(network=net, source_id=device_id, input_dim=60))
     member_data.append((features[lo:hi], labels[lo:hi]))
 
 

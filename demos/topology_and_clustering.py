@@ -7,7 +7,6 @@ only reach the network over device-to-device links.
 
 from dfedsim import (
     ClusterPolicy,
-    DataSignature,
     LinkModel,
     Position,
     can_connect,
@@ -30,13 +29,9 @@ for d in devices:
     print(f"{d.id:>6}  ({d.pos.x:6.1f},{d.pos.y:6.1f})  {distance_m(d.pos, bs_pos):10.2f}"
           f"  {delay:8.3f}  {ok}")
 
-# every device carries the same feature layout here, so all of them are
-# mutually cluster-compatible
-signature = DataSignature(feature_dim=274, label_set=frozenset(range(9)))
 assignment = form_clusters(
     devices,
     connectable,
-    [signature] * len(devices),
     ClusterPolicy(max_size=3, require_bs_member=True),
 )
 

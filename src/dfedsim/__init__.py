@@ -23,8 +23,6 @@ from .clustering import (
     Cluster,
     ClusterAssignment,
     ClusterPolicy,
-    DataSignature,
-    check_homogeneity,
     form_clusters,
 )
 from .data import (
@@ -52,7 +50,6 @@ from .errors import (
     NoEligibleHead,
     ParseError,
     SchemaMismatch,
-    SignatureMismatch,
     SimulationError,
 )
 from .head_selection import HeadCandidateView, HeadPolicy, select_head

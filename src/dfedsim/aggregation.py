@@ -15,14 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .clustering import DataSignature, check_homogeneity
-from .errors import (
-    DimensionMismatch,
-    EmptyDataset,
-    EmptyMemberList,
-    MissingLabels,
-    SignatureMismatch,
-)
+from .errors import DimensionMismatch, EmptyDataset, EmptyMemberList, MissingLabels
 from .ml_core import (
     ClassifierConfig,
     DenseNetwork,
@@ -49,25 +42,20 @@ class ModelArtifact:
     ``feature_indices``, when set, picks the raw probe columns the device
     sees, and ``network`` maps them to class logits (for a heterogeneous
     device its first layer compresses them to a latent code).
-    ``signature.feature_dim`` is always the raw probe-feature
-    dimensionality the artifact consumes.
-    Meta artifacts carry the member models their stacker feeds on in
-    ``meta_members``.
+    ``input_dim`` is always the raw probe-feature width the artifact
+    consumes. Meta artifacts carry the member models their stacker feeds
+    on in ``meta_members``.
     """
 
     network: DenseNetwork
     source_id: int
-    round_index: int
-    signature: DataSignature
+    input_dim: int
     feature_indices: tuple[int, ...] | None = None
     meta_members: tuple["ModelArtifact", ...] | None = None
 
     def __post_init__(self):
-        if len(self.signature.label_set) != self.network.output_dim:
-            raise SignatureMismatch(
-                f"network outputs {self.network.output_dim} classes, signature has "
-                f"{len(self.signature.label_set)} labels"
-            )
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be positive")
         if self.meta_members is not None and not self.meta_members:
             raise ValueError("meta artifacts need their member models")
 
@@ -102,9 +90,9 @@ def artifact_probabilities(artifact: ModelArtifact, features: np.ndarray) -> np.
             [artifact_probabilities(m, x) for m in artifact.meta_members]
         )
         return predict_proba(artifact.network, stacked)
-    if x.ndim != 2 or x.shape[1] != artifact.signature.feature_dim:
+    if x.ndim != 2 or x.shape[1] != artifact.input_dim:
         raise DimensionMismatch(
-            f"artifact consumes {artifact.signature.feature_dim} features, "
+            f"artifact consumes {artifact.input_dim} features, "
             f"got {x.shape[1] if x.ndim == 2 else 'non-matrix'}"
         )
     if artifact.feature_indices is not None:
@@ -113,14 +101,16 @@ def artifact_probabilities(artifact: ModelArtifact, features: np.ndarray) -> np.
 
 
 def _check_members(members: list[ModelArtifact]) -> None:
+    """Members must share one probe width and one class count."""
     if not members:
         raise EmptyMemberList("aggregation needs at least one member model")
-    first = members[0].signature
+    first = members[0]
     for m in members[1:]:
-        if not check_homogeneity(first, m.signature):
-            raise SignatureMismatch(
-                f"member {m.source_id} signature differs from member "
-                f"{members[0].source_id}"
+        if (m.input_dim, m.network.output_dim) != (first.input_dim, first.network.output_dim):
+            raise DimensionMismatch(
+                f"member {m.source_id} consumes {m.input_dim} features into "
+                f"{m.network.output_dim} classes, member {first.source_id} "
+                f"{first.input_dim} into {first.network.output_dim}"
             )
 
 
@@ -336,8 +326,7 @@ def train_meta(
     return ModelArtifact(
         network=net,
         source_id=source_id,
-        round_index=max(mb.round_index for mb in members),
-        signature=members[0].signature,
+        input_dim=members[0].input_dim,
         meta_members=tuple(members),
     )
 
@@ -352,9 +341,8 @@ def retrain_pooled(
         raise EmptyDataset("no member datasets to pool")
     dims = {np.asarray(x).shape[1] for x, _ in member_data}
     if len(dims) != 1:
-        raise SignatureMismatch(f"member feature dimensions differ: {sorted(dims)}")
+        raise DimensionMismatch(f"member feature dimensions differ: {sorted(dims)}")
     features = np.vstack([np.asarray(x, dtype=np.float64) for x, _ in member_data])
     labels = np.concatenate([np.asarray(y) for _, y in member_data])
     net = train_classifier(config, features, labels)
-    sig = DataSignature(dims.pop(), tuple(range(config.num_classes)))
-    return ModelArtifact(network=net, source_id=source_id, round_index=0, signature=sig)
+    return ModelArtifact(network=net, source_id=source_id, input_dim=dims.pop())

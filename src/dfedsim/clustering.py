@@ -1,7 +1,7 @@
 """Device-to-device cluster formation.
 
-Clusters are size-capped groups of data-compatible devices, each anchored
-by a BS-connectable seed that later hosts aggregation. ``form_clusters``
+Clusters are size-capped groups of devices, each anchored by a
+BS-connectable seed that later hosts aggregation. ``form_clusters``
 solves the formation problem exactly for the small fleets simulated here:
 among all feasible partitions it returns the one minimizing, in order,
 
@@ -38,33 +38,6 @@ class ClusterPolicy:
     def __post_init__(self):
         if self.max_size < 1:
             raise ValueError("max_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class DataSignature:
-    """What must match for two devices to share a cluster.
-
-    The label set is stored sorted, so construction order does not affect
-    equality.
-    """
-
-    feature_dim: int
-    label_set: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be positive")
-        labels = tuple(sorted(self.label_set))
-        if not labels:
-            raise ValueError("label_set must be non-empty")
-        if len(set(labels)) != len(labels):
-            raise ValueError("label_set must not contain duplicates")
-        object.__setattr__(self, "label_set", labels)
-
-
-def check_homogeneity(a: DataSignature, b: DataSignature) -> bool:
-    """True iff the two signatures agree on feature dimension and labels."""
-    return a.feature_dim == b.feature_dim and a.label_set == b.label_set
 
 
 @dataclass(frozen=True)
@@ -106,15 +79,6 @@ class ClusterAssignment:
 
 def _dist_tie(a: float, b: float) -> bool:
     return abs(a - b) <= COST_TOL * max(1.0, abs(a), abs(b))
-
-
-def _group_devices(
-    devices: list[DeviceNode], signatures: list[DataSignature]
-) -> list[list[int]]:
-    groups: dict[tuple, list[int]] = {}
-    for idx, sig in enumerate(signatures):
-        groups.setdefault((sig.feature_dim, sig.label_set), []).append(idx)
-    return [groups[key] for key in sorted(groups)]
 
 
 def _lex_fix(
@@ -210,18 +174,18 @@ def _solve_seed_set_with_capacity(
     return isolated, total, anchors
 
 
-def _solve_group(
-    ids: list[int],
+def _solve_fleet(
     by_id: dict[int, DeviceNode],
     connectable: dict[int, bool],
-    max_size: int,
+    policy: ClusterPolicy,
     max_member_distance_m: float | None,
-    require_bs_member: bool,
 ) -> dict[int, int]:
-    """Optimal anchor map for one signature-homogeneous device group."""
-    seeds_avail = [d for d in ids if connectable[d] or not require_bs_member]
-    if not seeds_avail:
-        return {d: d for d in ids}
+    """Optimal anchor map of the fleet: each device id maps to its
+    cluster's seed, or to itself when isolated. At least one device must
+    be seed-eligible."""
+    ids = sorted(by_id)
+    max_size = policy.max_size
+    seeds_avail = [d for d in ids if connectable[d] or not policy.require_bs_member]
 
     dist: dict[tuple[int, int], float] = {}
     in_range: dict[tuple[int, int], bool] = {}
@@ -241,7 +205,6 @@ def _solve_group(
             iso, total, anchors = _solve_seed_set_with_capacity(
                 seed_ids, rest, dist, in_range, {s: max_size - 1 for s in seed_ids}
             )
-            coarse = (iso, k, total)
             if best is not None:
                 b_iso, b_k, b_total, _ = best
                 if (iso, k) > (b_iso, b_k):
@@ -273,74 +236,53 @@ def _objective_less(a: tuple, b: tuple) -> bool:
 def form_clusters(
     devices: list[DeviceNode],
     connectable: list[bool],
-    signatures: list[DataSignature],
     policy: ClusterPolicy,
     max_member_distance_m: float | None = None,
 ) -> ClusterAssignment:
     """Partition devices into valid clusters, optimally for small fleets.
 
-    ``connectable`` and ``signatures`` align with ``devices``.
-    ``max_member_distance_m`` caps the member-to-seed distance (the D2D
-    range); None disables the cap. Devices that no valid cluster can take
-    (wrong signature group, out of range, or over capacity) come back as
-    singleton clusters flagged non-participating.
+    ``connectable`` aligns with ``devices``. ``max_member_distance_m`` caps
+    the member-to-seed distance (the D2D range); None disables the cap.
+    Devices that no valid cluster can take (out of range or over capacity)
+    come back as singleton clusters flagged non-participating.
 
-    Runs in time exponential in the number of BS-connectable devices per
-    signature group; intended for small fleets (n <= ~10).
+    Runs in time exponential in the number of BS-connectable devices;
+    intended for small fleets (n <= ~10).
 
     Raises NoConnectableDevice when no device can reach the BS at all.
     """
-    if not (len(devices) == len(connectable) == len(signatures)):
-        raise DimensionMismatch("devices, connectable and signatures must align")
+    if len(devices) != len(connectable):
+        raise DimensionMismatch("devices and connectable must align")
     ids = [d.id for d in devices]
     if len(set(ids)) != len(ids):
         raise ValueError("device ids must be unique")
     if not any(connectable):
         raise NoConnectableDevice("no device can reach the base station")
 
-    by_id = {d.id: d for d in devices}
     conn = {d.id: c for d, c in zip(devices, connectable)}
-
-    anchor_of: dict[int, int] = {}
-    for group_idx in _group_devices(devices, signatures):
-        group_ids = sorted(devices[i].id for i in group_idx)
-        anchor_of.update(
-            _solve_group(
-                group_ids,
-                by_id,
-                conn,
-                policy.max_size,
-                max_member_distance_m,
-                policy.require_bs_member,
-            )
-        )
+    anchor_of = _solve_fleet(
+        {d.id: d for d in devices}, conn, policy, max_member_distance_m
+    )
 
     members_of: dict[int, list[int]] = {}
     for device_id in sorted(anchor_of):
         members_of.setdefault(anchor_of[device_id], []).append(device_id)
 
-    clusters: list[Cluster] = []
-    isolated: list[Cluster] = []
+    # (members, seed) per cluster; isolated leftovers come last
+    seeded: list[tuple[tuple[int, ...], int | None]] = []
+    isolated: list[tuple[tuple[int, ...], int | None]] = []
     for anchor in sorted(members_of):
         member_ids = tuple(sorted(members_of[anchor]))
         # With the BS requirement, a device anchored at itself is a chosen
         # seed when connectable and an isolated leftover otherwise. Without
         # it every device is seed-eligible, so nothing ends up isolated.
         if conn[anchor] or not policy.require_bs_member:
-            clusters.append(
-                Cluster(
-                    cluster_id=0, member_ids=member_ids, seed_id=anchor, participating=True
-                )
-            )
+            seeded.append((member_ids, anchor))
         else:
-            isolated.append(
-                Cluster(
-                    cluster_id=0, member_ids=member_ids, seed_id=None, participating=False
-                )
-            )
-    ordered = clusters + isolated
-    final = tuple(
-        Cluster(i, c.member_ids, c.seed_id, c.participating)
-        for i, c in enumerate(ordered)
+            isolated.append((member_ids, None))
+    return ClusterAssignment(
+        tuple(
+            Cluster(i, member_ids, seed, participating=seed is not None)
+            for i, (member_ids, seed) in enumerate(seeded + isolated)
+        )
     )
-    return ClusterAssignment(final)

@@ -56,7 +56,10 @@ def _power(base: float, exponent: float) -> float:
         for _ in range(int(exponent)):
             out *= base
         return out
-    return base ** exponent
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def round_energy(
@@ -73,7 +76,9 @@ def round_energy(
     """
     if distance_m < 0 or payload < 0 or samples < 0 or epochs < 0:
         raise ValueError("round_energy inputs must be >= 0")
-    transmission = params.payload_scale * _power(distance_m, params.attenuation) * payload
+    transmission = 0.0
+    if params.payload_scale and payload:  # nothing shipped costs 0, even at infinity
+        transmission = params.payload_scale * _power(distance_m, params.attenuation) * payload
     compute = params.compute_coeff * samples * epochs
     return params.cycle * (transmission + compute)
 
@@ -121,7 +126,9 @@ def apply_round(
 
     Returns the new state and the effective (grid-quantized, possibly
     truncated) charges; the effective charges are what belongs in the
-    round ledger. Nodes that reach zero are flagged dead.
+    round ledger. Nodes that reach zero are flagged dead. A cost above the
+    available energy, infinite ones included, charges exactly what is
+    available.
     """
     consumed = dict(state.consumed)
     dead = set(state.dead)
@@ -131,7 +138,9 @@ def apply_round(
         if cost < 0:
             raise ValueError(f"cost for node {node} must be >= 0")
         available = state.initial[node] - consumed[node]
-        charge = min(quantize(cost), available)
+        # quantizing never lifts a cost over the grid-aligned available
+        # energy, and a huge cost would overflow the grid
+        charge = available if cost > available else quantize(cost)
         effective[node] = charge
         consumed[node] = consumed[node] + charge
         if consumed[node] == state.initial[node]:

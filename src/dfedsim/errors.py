@@ -29,10 +29,6 @@ class MissingLabels(SimulationError):
     """The probe set has no labels but the operation requires them."""
 
 
-class SignatureMismatch(SimulationError):
-    """Data signatures disagree where homogeneity is required."""
-
-
 class SchemaMismatch(SimulationError):
     """A dataset file does not match the declared schema."""
 

@@ -71,7 +71,7 @@ from .aggregation import (
     retrain_pooled,
     train_meta,
 )
-from .clustering import ClusterAssignment, ClusterPolicy, DataSignature, form_clusters
+from .clustering import ClusterAssignment, ClusterPolicy, form_clusters
 from .data import (
     DataPlan,
     FeatureSubsetPlan,
@@ -89,6 +89,7 @@ from .ml_core import (
     DenseNetwork,
     feature_scale,
     glorot_init,
+    predict_proba,
     train_autoencoder,
     train_classifier,
 )
@@ -230,8 +231,9 @@ class _ProbModel:
     member closest to its average, which the base station scores on its
     probe. Weighted nodes and the adaptive base station carry None.
     Calling ``probabilities`` evaluates what the aggregation at this node
-    actually computes, which for averaging methods is the combination of
-    all children, not a relayed artifact.
+    actually computes: for averaging methods the combination of all
+    children, not a relayed artifact, and for a meta node its stacker on
+    its children's probabilities, so every leaf goes through ``score``.
     """
 
     artifact: ModelArtifact | None
@@ -244,7 +246,10 @@ class _ProbModel:
         that artifact's probabilities on the rows being evaluated."""
         if not self.children:
             return score(self.artifact)
-        stacked = np.stack([c.probabilities(score) for c in self.children])
+        probs = [c.probabilities(score) for c in self.children]
+        if self.method is AggregationMethod.META_LEARNING:
+            return predict_proba(self.artifact.network, np.hstack(probs))
+        stacked = np.stack(probs)
         if self.method is AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING:
             return adaptive_average(stacked, self.weights)
         return stacked.mean(axis=0)
@@ -305,8 +310,6 @@ class _Network:
         self.assignment: ClusterAssignment | None = None
         self.heads: dict[int, int] = {}  # cluster_id -> head device id
         schema = config.data.schema
-        # every device consumes raw probe features with the same label set
-        self.signature = DataSignature(schema.num_features, tuple(range(schema.num_classes)))
         # shipped model size relative to the reference classifier; the
         # heterogeneous scheme also ships its one-layer encoder
         input_dim = schema.num_features
@@ -348,8 +351,13 @@ class _Network:
         # Slower links keep the radio on longer, so transmission energy grows
         # in proportion to the delay setting. Folding the ratio into the
         # distance through the attenuation root keeps the power-law form.
+        if not geometric_m:  # nothing to stretch, even by an infinite ratio
+            return 0.0
         ratio = self.config.link.delay_per_meter_s / REFERENCE_DELAY_PER_METER
-        return geometric_m * ratio ** (1.0 / self.config.energy.attenuation)
+        try:
+            return geometric_m * ratio ** (1.0 / self.config.energy.attenuation)
+        except OverflowError:
+            return math.inf
 
     def _move_mobiles(self) -> None:
         limit = self.config.mobility_radius_m
@@ -384,7 +392,6 @@ class _Network:
         self.assignment = form_clusters(
             [self._moved(d) for d in alive],
             [connectable[d] for d in alive],
-            [self.signature] * len(alive),
             self.config.cluster_policy,
             max_member_distance_m=max_range,
         )
@@ -690,7 +697,9 @@ class _Run:
                 ),
             )
             return _ProbModel(
-                train_meta(artifacts, probe, cfg, source_id=source_id), method=method
+                train_meta(artifacts, probe, cfg, source_id=source_id),
+                children=models,
+                method=method,
             )
         raise ConfigError(f"unsupported aggregation method {method}")
 
@@ -766,8 +775,7 @@ def _train_round(
             artifacts[key] = ModelArtifact(
                 network=net,
                 source_id=runtime.device_id,
-                round_index=round_index,
-                signature=run.network.signature,
+                input_dim=run.schema.num_features,
                 feature_indices=runtime.rows.feature_indices,
             )
 
@@ -815,7 +823,7 @@ def _lockstep(runs: list[_Run]) -> list[list[RoundTrace]]:
         for run, plan, models, out in zip(runs, plans, trained, traces):
             out.append(
                 RoundTrace(
-                    round_index=round_index,
+                    round_index,
                     participants=plan.participants,
                     clusters=plan.clusters,
                     head_ids=plan.head_ids,

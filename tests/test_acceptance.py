@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from test_aggregation import make_artifact, make_probe
-from test_clustering import SIG, encoding_of, make_devices, oracle_best
+from test_clustering import encoding_of, make_devices, oracle_best
 from test_head_selection import _rank, random_candidates
 from test_ml_core import check_probability_matrix, grads_close, numeric_grads, random_net
 
@@ -127,7 +127,7 @@ def test_clustering_matches_bruteforce():
         if not any(conn):
             conn[int(rng.integers(0, n))] = True
         max_range = 100.0 if trial % 2 == 0 else None
-        out = form_clusters(devices, conn, [SIG] * n, policy,
+        out = form_clusters(devices, conn, policy,
                             max_member_distance_m=max_range)
         members = sorted(m for c in out.clusters for m in c.member_ids)
         constraints = (

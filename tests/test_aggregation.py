@@ -22,12 +22,11 @@ from dfedsim.aggregation import (
     retrain_pooled,
     train_meta,
 )
-from dfedsim.clustering import DataSignature
 from dfedsim.errors import (
+    DimensionMismatch,
     EmptyDataset,
     EmptyMemberList,
     MissingLabels,
-    SignatureMismatch,
 )
 from dfedsim.ml_core import (
     ClassifierConfig,
@@ -43,12 +42,7 @@ from dfedsim.ml_core import (
 def make_artifact(rng, source_id, feature_dim=6, classes=3, net=None):
     if net is None:
         net = glorot_init([feature_dim, classes], ["linear"], rng)
-    return ModelArtifact(
-        network=net,
-        source_id=source_id,
-        round_index=0,
-        signature=DataSignature(feature_dim, tuple(range(classes))),
-    )
+    return ModelArtifact(network=net, source_id=source_id, input_dim=feature_dim)
 
 
 def make_probe(rng, n=40, feature_dim=6, classes=3, labeled=True):
@@ -107,8 +101,7 @@ def test_duplicating_the_winner_does_not_change_the_winning_model():
             ModelArtifact(
                 network=selected.network,
                 source_id=10 + i,
-                round_index=0,
-                signature=selected.signature,
+                input_dim=selected.input_dim,
             )
             for i in range(2)
         ]
@@ -122,11 +115,17 @@ def test_aggregate_error_contracts():
     with pytest.raises(EmptyMemberList):
         aggregate_weighted([], probe)
     mixed = [make_artifact(rng, 0, feature_dim=6), make_artifact(rng, 1, feature_dim=6, classes=4)]
-    with pytest.raises(SignatureMismatch):
+    with pytest.raises(DimensionMismatch):
         aggregate_weighted(mixed, probe)
+    # same class count, but one member consumes a wider probe row
+    wide = [make_artifact(rng, 0, feature_dim=6), make_artifact(rng, 1, feature_dim=7)]
+    with pytest.raises(DimensionMismatch):
+        aggregate_weighted(wide, probe)
     members = [make_artifact(rng, 0), make_artifact(rng, 1)]
     with pytest.raises(ValueError):
         aggregate_weighted(members, probe, weights=np.array([0.7, 0.7]))
+    with pytest.raises(ValueError):
+        ModelArtifact(members[0].network, 0, input_dim=0)
 
 
 def test_adaptive_single_member_is_forced_uniform():
@@ -143,8 +142,8 @@ def _perfect_and_uniform_members(rng, n=60, classes=3):
     features = np.eye(classes)[labels] * 4.0 + rng.normal(size=(n, classes)) * 0.05
     sharp = DenseNetwork([Layer(np.eye(classes) * 5.0, np.zeros(classes))])
     flat = DenseNetwork([Layer(np.zeros((classes, classes)), np.zeros(classes))])
-    a = ModelArtifact(sharp, 0, 0, DataSignature(classes, tuple(range(classes))))
-    b = ModelArtifact(flat, 1, 0, DataSignature(classes, tuple(range(classes))))
+    a = ModelArtifact(sharp, 0, classes)
+    b = ModelArtifact(flat, 1, classes)
     return [a, b], ProbeSet(features=features, labels=labels)
 
 
@@ -328,7 +327,7 @@ def test_retrain_error_contracts():
     cfg = ClassifierConfig(input_dim=3, num_classes=2)
     with pytest.raises(EmptyDataset):
         retrain_pooled([], cfg)
-    with pytest.raises(SignatureMismatch):
+    with pytest.raises(DimensionMismatch):
         retrain_pooled(
             [(np.zeros((5, 3)), np.zeros(5, dtype=int)), (np.zeros((5, 4)), np.zeros(5, dtype=int))],
             cfg,
@@ -343,13 +342,17 @@ def test_artifact_pipeline_applies_subset_then_encoder():
     artifact = ModelArtifact(
         network=DenseNetwork(encoder.layers + head.layers),
         source_id=0,
-        round_index=0,
-        signature=DataSignature(10, (0, 1, 2)),
+        input_dim=10,
         feature_indices=(9, 0, 3, 5),
     )
     x = rng.normal(size=(8, 10))
     manual = predict_proba(head, encoder.forward(x[:, [9, 0, 3, 5]]))
     assert np.array_equal(artifact_probabilities(artifact, x), manual)
+    # the width check is on the raw probe row, before the column projection:
+    # these rows hold every projected column, but are not 10 wide
+    for width in (9, 11):
+        with pytest.raises(DimensionMismatch):
+            artifact_probabilities(artifact, rng.normal(size=(8, width)))
 
 
 def test_method_enum_values():

@@ -17,14 +17,11 @@ from dfedsim.clustering import (
     Cluster,
     ClusterAssignment,
     ClusterPolicy,
-    DataSignature,
-    check_homogeneity,
     form_clusters,
 )
 from dfedsim.errors import NoConnectableDevice
 from dfedsim.topology import DeviceNode, Position, distance_m
 
-SIG = DataSignature(10, tuple(range(4)))
 TOL = 1e-9
 
 
@@ -109,48 +106,10 @@ def encoding_of(assignment, ids):
 # -------------------------------------------------------------- tests
 
 
-def test_homogeneity_examples():
-    a = DataSignature(274, tuple(range(9)))
-    b = DataSignature(274, tuple(range(9)))
-    c = DataSignature(274, tuple(range(8)))
-    assert check_homogeneity(a, b)
-    assert check_homogeneity(a, a)
-    assert not check_homogeneity(a, c)
-    assert not check_homogeneity(a, DataSignature(50, tuple(range(9))))
-
-
-def test_homogeneity_is_an_equivalence_relation():
-    rng = np.random.default_rng(301)
-    sigs = [
-        DataSignature(int(rng.integers(1, 5)), tuple(range(int(rng.integers(1, 4)))))
-        for _ in range(30)
-    ]
-    for s in sigs:
-        assert check_homogeneity(s, s)
-    for a, b in itertools.combinations(sigs, 2):
-        assert check_homogeneity(a, b) == check_homogeneity(b, a)
-    for a, b, c in itertools.combinations(sigs, 3):
-        if check_homogeneity(a, b) and check_homogeneity(b, c):
-            assert check_homogeneity(a, c)
-
-
-def test_label_order_does_not_matter():
-    assert DataSignature(5, (2, 0, 1)) == DataSignature(5, (0, 1, 2))
-
-
-def test_signature_validation():
-    with pytest.raises(ValueError):
-        DataSignature(0, (0,))
-    with pytest.raises(ValueError):
-        DataSignature(5, ())
-    with pytest.raises(ValueError):
-        DataSignature(5, (1, 1))
-
-
 def test_two_connectable_gives_sizes_three_and_two():
     devices = make_devices([(0, 0), (10, 0), (20, 0), (30, 0), (40, 0)])
     conn = [True, False, False, False, True]
-    out = form_clusters(devices, conn, [SIG] * 5, ClusterPolicy())
+    out = form_clusters(devices, conn, ClusterPolicy())
     sizes = sorted(len(c.member_ids) for c in out.clusters)
     assert sizes == [2, 3]
     for cluster in out.clusters:
@@ -160,7 +119,7 @@ def test_two_connectable_gives_sizes_three_and_two():
 
 def test_single_connectable_device_forms_singleton():
     devices = make_devices([(5, 5)])
-    out = form_clusters(devices, [True], [SIG], ClusterPolicy())
+    out = form_clusters(devices, [True], ClusterPolicy())
     assert len(out.clusters) == 1
     assert out.clusters[0].member_ids == (0,)
     assert out.clusters[0].seed_id == 0
@@ -170,7 +129,7 @@ def test_single_connectable_device_forms_singleton():
 def test_no_connectable_device_raises():
     devices = make_devices([(0, 0), (1, 1)])
     with pytest.raises(NoConnectableDevice):
-        form_clusters(devices, [False, False], [SIG] * 2, ClusterPolicy())
+        form_clusters(devices, [False, False], ClusterPolicy())
 
 
 def test_reference_five_device_topology():
@@ -183,7 +142,7 @@ def test_reference_five_device_topology():
         DeviceNode(4, Position(36.0, 48.0)),
     ]
     conn = [True, True, True, False, False]
-    out = form_clusters(devices, conn, [SIG] * 5, ClusterPolicy(), max_member_distance_m=100.0)
+    out = form_clusters(devices, conn, ClusterPolicy(), max_member_distance_m=100.0)
     members = sorted(c.member_ids for c in out.clusters)
     assert members == [(0, 3), (1, 2, 4)]
     seeds = {c.member_ids: c.seed_id for c in out.clusters}
@@ -197,7 +156,7 @@ def test_seven_devices_match_oracle():
     coords = rng.uniform(-40, 40, size=(7, 2))
     devices = make_devices(coords)
     conn = [True, False, True, False, False, True, False]
-    out = form_clusters(devices, conn, [SIG] * 7, ClusterPolicy(), max_member_distance_m=100.0)
+    out = form_clusters(devices, conn, ClusterPolicy(), max_member_distance_m=100.0)
     best = oracle_best(devices, conn, max_size=3, max_range=100.0)
     assert encoding_of(out, list(range(7))) == best[3]
 
@@ -213,7 +172,7 @@ def test_random_topologies_match_oracle():
             conn[int(rng.integers(0, n))] = True
         max_range = 100.0 if trial % 2 == 0 else None
         out = form_clusters(
-            devices, conn, [SIG] * n, ClusterPolicy(), max_member_distance_m=max_range
+            devices, conn, ClusterPolicy(), max_member_distance_m=max_range
         )
         best = oracle_best(devices, conn, max_size=3, max_range=max_range)
         assert best is not None
@@ -229,7 +188,7 @@ def test_output_invariants_on_random_topologies():
         if not any(conn):
             conn[0] = True
         policy = ClusterPolicy(max_size=int(rng.integers(1, 4)))
-        out = form_clusters(devices, conn, [SIG] * n, policy, max_member_distance_m=120.0)
+        out = form_clusters(devices, conn, policy, max_member_distance_m=120.0)
         seen = sorted(m for c in out.clusters for m in c.member_ids)
         assert seen == list(range(n))  # partition
         for cluster in out.clusters:
@@ -242,31 +201,10 @@ def test_output_invariants_on_random_topologies():
                     assert d <= 120.0 + 1e-9
 
 
-def test_heterogeneous_signatures_never_mix():
-    sig_a = DataSignature(10, (0, 1))
-    sig_b = DataSignature(12, (0, 1))
-    devices = make_devices([(0, 0), (1, 0), (2, 0), (3, 0)])
-    sigs = [sig_a, sig_b, sig_a, sig_b]
-    out = form_clusters(devices, [True, True, False, False], sigs, ClusterPolicy())
-    for cluster in out.clusters:
-        dims = {sigs[m].feature_dim for m in cluster.member_ids}
-        assert len(dims) == 1
-
-
-def test_incompatible_loner_is_isolated():
-    sig_a = DataSignature(10, (0, 1))
-    sig_b = DataSignature(99, (0, 1))
-    devices = make_devices([(0, 0), (1, 0), (2, 0)])
-    out = form_clusters(devices, [True, False, False], [sig_a, sig_a, sig_b], ClusterPolicy())
-    isolated = out.isolated_ids()
-    assert isolated == [2]
-    assert out.participating_ids() == [0, 1]
-
-
 def test_out_of_range_device_is_isolated():
     devices = make_devices([(0, 0), (1, 0), (500, 0)])
     out = form_clusters(
-        devices, [True, False, False], [SIG] * 3, ClusterPolicy(), max_member_distance_m=100.0
+        devices, [True, False, False], ClusterPolicy(), max_member_distance_m=100.0
     )
     assert out.isolated_ids() == [2]
 
@@ -276,12 +214,12 @@ def test_determinism_and_order_invariance():
     coords = rng.uniform(-50, 50, size=(6, 2))
     devices = make_devices(coords)
     conn = [True, True, False, False, True, False]
-    a = form_clusters(devices, conn, [SIG] * 6, ClusterPolicy())
-    b = form_clusters(devices, conn, [SIG] * 6, ClusterPolicy())
+    a = form_clusters(devices, conn, ClusterPolicy())
+    b = form_clusters(devices, conn, ClusterPolicy())
     assert a == b
     order = [3, 0, 5, 1, 4, 2]
     shuffled = [devices[i] for i in order]
-    c = form_clusters(shuffled, [conn[i] for i in order], [SIG] * 6, ClusterPolicy())
+    c = form_clusters(shuffled, [conn[i] for i in order], ClusterPolicy())
     assert a == c
 
 
@@ -293,15 +231,15 @@ def test_scale_invariance_without_range_cap():
         conn = list(rng.random(n) < 0.5)
         if not any(conn):
             conn[0] = True
-        base = form_clusters(make_devices(coords), conn, [SIG] * n, ClusterPolicy())
-        scaled = form_clusters(make_devices(coords * 2.0), conn, [SIG] * n, ClusterPolicy())
+        base = form_clusters(make_devices(coords), conn, ClusterPolicy())
+        scaled = form_clusters(make_devices(coords * 2.0), conn, ClusterPolicy())
         assert base == scaled
 
 
 def test_max_size_one_isolates_every_non_connectable():
     devices = make_devices([(0, 0), (1, 0), (2, 0)])
     out = form_clusters(
-        devices, [True, False, False], [SIG] * 3, ClusterPolicy(max_size=1)
+        devices, [True, False, False], ClusterPolicy(max_size=1)
     )
     assert out.participating_ids() == [0]
     assert out.isolated_ids() == [1, 2]

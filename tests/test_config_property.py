@@ -1,8 +1,10 @@
 """Config parsing under awkward numbers: `config_from_dict` either builds a
 `ScenarioConfig` or raises `ConfigError`, whatever numeric values a config
-file holds. Skipped where `hypothesis` is not installed."""
+file holds, and a config that builds with awkward energy and link numbers
+runs. Skipped where `hypothesis` is not installed."""
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from dfedsim.cli import config_from_dict, config_to_dict  # noqa: E402
 from dfedsim.errors import ConfigError  # noqa: E402
-from dfedsim.scenarios import ScenarioConfig  # noqa: E402
+from dfedsim.scenarios import ScenarioConfig, ScenarioKind, run_scenario  # noqa: E402
 
 NAN, INF = float("nan"), float("inf")
 
@@ -33,17 +35,44 @@ DEFAULT_DICT = config_to_dict(config_from_dict({"kind": "dbfl_heterogeneous"}))
 NUMERIC_PATHS = sorted(_numeric_paths(DEFAULT_DICT), key=repr)
 AWKWARD = st.sampled_from([NAN, INF, -INF, 0, 0.0, -1, -0.5, 1e308]) | st.floats()
 
+# a small, quickly learnable data plan: one round of each kind takes a blink
+SMALL_DATA = {
+    "task": "blobs",
+    "partition": {"devices": 5, "samples_per_device": 40, "strategy": "coverage"},
+    "test_samples": 40,
+    "ae_epochs": 1,
+}
+SMALL_DICT = config_to_dict(config_from_dict({"kind": "cvfl", "rounds": 1, "data": SMALL_DATA}))
+ENERGY_LINK_PATHS = [
+    p for p in sorted(_numeric_paths(SMALL_DICT), key=repr) if p[0] in ("energy", "link")
+]
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(NUMERIC_PATHS), AWKWARD), min_size=1, max_size=3))
-def test_numeric_settings_build_a_config_or_raise_config_error(edits):
-    data = copy.deepcopy(DEFAULT_DICT)
+
+def _edited(base, edits):
+    data = copy.deepcopy(base)
     for path, value in edits:
         holder = data
         for key in path[:-1]:
             holder = holder[key]
         holder[path[-1]] = value
+    return data
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(NUMERIC_PATHS), AWKWARD), min_size=1, max_size=3))
+def test_numeric_settings_build_a_config_or_raise_config_error(edits):
     try:
-        assert isinstance(config_from_dict(data), ScenarioConfig)
+        assert isinstance(config_from_dict(_edited(DEFAULT_DICT, edits)), ScenarioConfig)
     except ConfigError:
         pass
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(ENERGY_LINK_PATHS), AWKWARD), min_size=1, max_size=3))
+def test_energy_and_link_settings_that_build_finish_a_run(edits):
+    try:
+        base = config_from_dict(_edited(SMALL_DICT, edits))
+    except ConfigError:
+        return
+    for kind in ScenarioKind:
+        run_scenario(dataclasses.replace(base, kind=kind))

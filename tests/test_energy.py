@@ -85,6 +85,28 @@ def test_ledger_truncates_at_zero_and_marks_dead():
     assert new_state.alive() == []
 
 
+def test_ledger_drains_a_cost_too_large_for_the_grid():
+    # 1e308 and inf overflow the grid's integer step count; either charges
+    # exactly what is left, like any other cost above it
+    for cost in (1e308, float("inf")):
+        state, _ = apply_round(EnergyState.start({0: 2.0, 1: 3.0}), {0: 0.5})
+        new_state, charges = apply_round(state, {0: cost, 1: 1.0})
+        assert charges == {0: 1.5, 1: 1.0}
+        assert new_state.remaining(0) == 0.0
+        assert new_state.is_dead(0) and not new_state.is_dead(1)
+
+
+def test_transmission_that_overflows_is_infinite():
+    # distance ** 1e308 overflows the float power; shipping nothing costs
+    # nothing whatever the distance
+    params = EnergyParams(attenuation=1e308)
+    assert round_energy(params, 40.0, 1.0, samples=0, epochs=0) == float("inf")
+    compute = params.cycle * params.compute_coeff * 100
+    assert round_energy(params, 40.0, 0.0, samples=100, epochs=1) == compute
+    free = EnergyParams(payload_scale=0.0)
+    assert round_energy(free, float("inf"), 1.0, samples=0, epochs=0) == 0.0
+
+
 def test_ledger_conservation_exact_over_many_rounds():
     # sum of effective charges == initial - remaining, bit for bit
     rng = np.random.default_rng(203)

@@ -5,6 +5,7 @@ full-size comparisons live in the acceptance suite.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from dfedsim import aggregation, scenarios
 from dfedsim.aggregation import AggregationMethod, artifact_probabilities, closest_member
 from dfedsim.data import DataPlan, PartitionPlan, _generate, write_csv
+from dfedsim.energy import EnergyParams, quantize
 from dfedsim.errors import ConfigError
 from dfedsim.head_selection import HeadPolicy
 from dfedsim.scenarios import (
@@ -29,6 +31,7 @@ from dfedsim.scenarios import (
     run_scenario,
     total_energy,
 )
+from dfedsim.topology import LinkModel, Position
 
 SMALL_PLAN = DataPlan(
     partition=PartitionPlan(devices=5, samples_per_device=150, strategy="coverage"),
@@ -296,6 +299,56 @@ def test_drained_fleet_finishes_with_empty_rounds(kind):
             assert t.energy_spent == {} and t.link_delays == ()
 
 
+def far_devices():
+    """The default fleet with mobile device 4 homed at x = 1e200: its
+    distance to anything squares past the float range."""
+    return tuple(
+        dataclasses.replace(d, pos=Position(1e200, d.pos.y)) if d.id == 4 else d
+        for d in default_devices()
+    )
+
+
+def colocated_devices():
+    """The default fleet with device 3 parked on device 0's spot."""
+    home = default_devices()[0].pos
+    return tuple(
+        dataclasses.replace(d, pos=home, mobile=False) if d.id == 3 else d
+        for d in default_devices()
+    )
+
+
+OVERFLOWING = {
+    "compute_coeff": {"energy": EnergyParams(compute_coeff=1e308)},
+    "payload_scale": {"energy": EnergyParams(payload_scale=1e308)},
+    "attenuation": {"energy": EnergyParams(attenuation=1e308)},
+    "delay": {"link": LinkModel(delay_per_meter_s=1e308)},
+    "far-device": {"devices": far_devices()},
+    # the delay ratio's attenuation root, 2 ** 10000, overflows
+    "delay-root": {
+        "energy": EnergyParams(attenuation=1e-4),
+        "link": LinkModel(delay_per_meter_s=2e-3),
+    },
+    # a zero distance stretched by an infinite delay ratio stays zero
+    "colocated": {
+        "devices": colocated_devices(),
+        "link": LinkModel(delay_per_meter_s=1e308),
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWING))
+def test_an_overflowing_charge_drains_the_battery(case):
+    base = small_config(ScenarioKind.CVFL, rounds=2, **OVERFLOWING[case])
+    batteries = {d.id: quantize(d.battery) for d in base.devices}
+    for kind, (first, second) in compare_scenarios(base).items():
+        drained = {d for d, charge in first.energy_spent.items() if charge == batteries[d]}
+        # the far device sits out of every cluster's range, so DBFL never charges it
+        assert drained or (case == "far-device" and kind is not ScenarioKind.CVFL), kind
+        assert not drained & set(second.energy_spent)
+        for trace in (first, second):
+            assert all(math.isfinite(v) for v in trace.energy_spent.values())
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(ScenarioKind.CVFL, rounds=-1)
@@ -416,7 +469,10 @@ def recording(calls, fn):
     return wrapper
 
 
-def test_compare_trains_and_scores_each_distinct_model_once(monkeypatch):
+def recorded_compare(monkeypatch, base):
+    """``compare_scenarios(base)`` with its training passes and every
+    ``artifact_probabilities`` call recorded; returns (runs, dataset,
+    training calls, scoring calls)."""
     datasets = []
 
     def build(config):
@@ -428,27 +484,50 @@ def test_compare_trains_and_scores_each_distinct_model_once(monkeypatch):
     monkeypatch.setattr(
         scenarios, "train_classifier", recording(trained, scenarios.train_classifier)
     )
-    # the aggregation binding is where probe rows would be scored
+    # the aggregation binding is where probe rows, and meta members, are scored
     scored = []
     for module in (scenarios, aggregation):
         monkeypatch.setattr(
             module, "artifact_probabilities", recording(scored, artifact_probabilities)
         )
-    runs = compare_scenarios(small_config(ScenarioKind.CVFL))
+    runs = compare_scenarios(base)
     (dataset,) = datasets
+    return runs, dataset, trained, scored
 
+
+def distinct_device_models(runs):
     # nothing dies in these three rounds, so CVFL's devices train the same
     # models as DBFL-homogeneous's; the train seed reads device and round
     cvfl, homo, hetero = runs.values()
-    distinct = sum(
+    return sum(
         len(set(a.participants) | set(b.participants)) + len(c.participants)
         for a, b, c in zip(cvfl, homo, hetero)
     )
+
+
+def test_compare_trains_and_scores_each_distinct_model_once(monkeypatch):
+    runs, dataset, trained, scored = recorded_compare(
+        monkeypatch, small_config(ScenarioKind.CVFL)
+    )
+    distinct = distinct_device_models(runs)
     requests = [(cfg.seed, cfg.input_dim) for configs, *_ in trained for cfg in configs]
     assert len(requests) == len(set(requests)) == distinct
     assert all(features is dataset.test_x for _, features in scored)
     networks = [artifact.network for artifact, _ in scored]
     assert len({id(net) for net in networks}) == len(networks) == distinct
+
+
+def test_meta_scores_each_device_model_once_on_the_test_split(monkeypatch):
+    # a meta node stacks its children's test probabilities, so the device
+    # networks under it go through the round's memo like any other leaf
+    base = small_config(ScenarioKind.CVFL, aggregation=AggregationMethod.META_LEARNING)
+    runs, dataset, _, scored = recorded_compare(monkeypatch, base)
+    on_test = [artifact for artifact, features in scored if features is dataset.test_x]
+    assert all(artifact.meta_members is None for artifact in on_test)
+    networks = {id(artifact.network) for artifact in on_test}
+    assert len(on_test) == len(networks) == distinct_device_models(runs) == 30
+    for kind, traces in runs.items():
+        assert repr(traces) == repr(run_scenario(dataclasses.replace(base, kind=kind)))
 
 
 def test_adaptive_base_station_picks_no_relay_member(monkeypatch):
