@@ -4,7 +4,7 @@ Five subcommands: `run` (one scenario), `compare` (all three scenarios on a
 shared seed and dataset), `sweep` (energy across a delay sweep), `gen-data`
 (synthetic dataset to CSV), `validate` (config lint). Configuration comes
 from an optional JSON file mirroring the ScenarioConfig field names, each
-value checked against its field's type; command-line flags override file
+value decoded by its field's type; command-line flags override file
 values. Every output file is a deterministic function of the resolved
 config; wall-clock timestamps appear only in the manifest.
 
@@ -18,6 +18,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -27,10 +28,7 @@ import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .aggregation import AggregationMethod
-from .clustering import ClusterPolicy
-from .data import DataPlan, DatasetSchema, PartitionPlan, _generate, write_csv
-from .energy import EnergyParams
+from .data import _generate, write_csv
 from .errors import (
     ConfigError,
     EmptyDataset,
@@ -40,7 +38,6 @@ from .errors import (
     SchemaMismatch,
     SimulationError,
 )
-from .head_selection import HeadPolicy
 from .scenarios import (
     RoundTrace,
     ScenarioConfig,
@@ -50,7 +47,6 @@ from .scenarios import (
     run_scenario,
     total_energy,
 )
-from .topology import DeviceNode, LinkModel, Position
 
 TRACE_HEADER = "round,scenario,accuracy,participants,total_energy,per_node_energy_json"
 SUMMARY_HEADER = "scenario,final_accuracy,total_energy"
@@ -66,7 +62,7 @@ _DATA_ERRORS = (ParseError, SchemaMismatch, EmptyDataset, MissingLabels, IndexOu
 def _asdict(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _asdict(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, (ScenarioKind, AggregationMethod)):
+    if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, tuple):
         return [_asdict(v) for v in value]
@@ -76,20 +72,6 @@ def _asdict(value):
 def config_to_dict(config: ScenarioConfig) -> dict:
     """The JSON-ready mirror of a ScenarioConfig."""
     return _asdict(config)
-
-
-# which fields of which config class hold further config objects
-_NESTED = {
-    ScenarioConfig: {
-        "link": LinkModel,
-        "cluster_policy": ClusterPolicy,
-        "head_policy": HeadPolicy,
-        "energy": EnergyParams,
-        "data": DataPlan,
-    },
-    DataPlan: {"schema": DatasetSchema, "partition": PartitionPlan},
-    DeviceNode: {"pos": Position},
-}
 
 
 def _fits(value, annotation) -> bool:
@@ -116,52 +98,43 @@ def _describe(annotation) -> str:
     return " or ".join(words.get(arm, arm.__name__) for arm in arms)
 
 
+def _decode(annotation, value, context: str):
+    """A decoded JSON value as a field of this annotation: a config class
+    from an object, an enum member by its value, ``tuple[X, ...]`` from a
+    list of ``X``, and any other leaf as ``_fits`` allows."""
+    if typing.get_origin(annotation) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{context} must be a list, got {type(value).__name__}")
+        item = typing.get_args(annotation)[0]
+        return tuple(_decode(item, v, f"{context}[{i}]") for i, v in enumerate(value))
+    if dataclasses.is_dataclass(annotation):
+        return _build(annotation, value, context)
+    if isinstance(annotation, type) and issubclass(annotation, enum.Enum):
+        try:
+            return annotation(value)
+        except ValueError:
+            options = ", ".join(e.value for e in annotation)
+            raise ConfigError(f"{context} must be one of: {options} (got {value!r})")
+    if _fits(value, annotation):
+        return value
+    raise ConfigError(f"{context} must be {_describe(annotation)}, got {value!r}")
+
+
 def _build(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be an object, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
     # the annotations are strings under postponed evaluation
     hints = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - set(fields))
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"unknown key(s) under {context}: {', '.join(unknown)}")
-    nested = _NESTED.get(cls, {})
-    kwargs = {}
-    for name, value in data.items():
-        if cls is ScenarioConfig and name == "devices":
-            if not isinstance(value, list):
-                raise ConfigError("devices must be a list of device objects")
-            kwargs[name] = tuple(
-                _build(DeviceNode, d, f"{context}.devices[{i}]") for i, d in enumerate(value)
-            )
-        elif cls is ScenarioConfig and name == "kind":
-            kwargs[name] = _parse_kind(value)
-        elif cls is ScenarioConfig and name == "aggregation":
-            kwargs[name] = _parse_enum(AggregationMethod, value, "aggregation")
-        elif name in nested:
-            kwargs[name] = _build(nested[name], value, f"{context}.{name}")
-        elif _fits(value, hints[name]):
-            kwargs[name] = value
-        else:
-            raise ConfigError(
-                f"{context}.{name} must be {_describe(hints[name])}, got {value!r}"
-            )
+    kwargs = {
+        name: _decode(hints[name], value, f"{context}.{name}") for name, value in data.items()
+    }
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _parse_enum(enum_cls, value, label):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        options = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"{label} must be one of: {options} (got {value!r})")
-
-
-def _parse_kind(value) -> ScenarioKind:
-    return _parse_enum(ScenarioKind, value, "scenario")
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:

@@ -70,12 +70,6 @@ class ClusterAssignment:
                     raise ValueError(f"device {member} appears in more than one cluster")
                 seen.add(member)
 
-    def participating_ids(self) -> list[int]:
-        return sorted(m for c in self.clusters if c.participating for m in c.member_ids)
-
-    def isolated_ids(self) -> list[int]:
-        return sorted(m for c in self.clusters if not c.participating for m in c.member_ids)
-
 
 def _dist_tie(a: float, b: float) -> bool:
     return abs(a - b) <= COST_TOL * max(1.0, abs(a), abs(b))
@@ -147,10 +141,11 @@ def _solve_seed_set_with_capacity(
     open, so an assignment always exists. Anchor map values are seed ids,
     or the device's own id when isolated.
     """
-    seed_cols = [s for s in seed_ids for _ in range(capacity[s])]
     n = len(rest)
     if n == 0:
         return 0, 0.0, {}
+    # one column per member a seed can still take, and it can take no more than rest
+    seed_cols = [s for s in seed_ids for _ in range(min(capacity[s], n))]
     max_dist = max((dist[(r, s)] for r in rest for s in seed_ids), default=0.0)
     penalty = (n + 1) * (max_dist + 1.0)
     cost = np.full((n, len(seed_cols) + n), np.inf)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from dfedsim import __version__
+from dfedsim.aggregation import AggregationMethod
 from dfedsim.cli import (
     DEFAULT_SWEEP,
     SUMMARY_HEADER,
@@ -20,7 +21,9 @@ from dfedsim.cli import (
     config_to_dict,
     run_cli,
 )
+from dfedsim.data import DatasetSchema
 from dfedsim.scenarios import ScenarioConfig, ScenarioKind
+from dfedsim.topology import Position
 
 SMALL = {
     "rounds": 2,
@@ -309,14 +312,20 @@ MISTYPED = [
     ({"local_epochs": True}, "config.local_epochs must be an integer"),
     ({"link": {"delay_per_meter_s": True}}, "config.link.delay_per_meter_s must be a finite"),
     ({"data": {"spread": NAN}}, "config.data.spread must be a finite number"),
+    ({"kind": "nope"}, "config.kind must be one of: cvfl, dbfl_homogeneous"),
+    ({"aggregation": "nope"}, "config.aggregation must be one of: weighted, adaptive"),
+    ({"devices": {"id": 0}}, "config.devices must be a list"),
+    ({"devices": [{"id": 0, "pos": {"x": 1.0, "y": "far"}}]},
+     "config.devices[0].pos.y must be a finite number"),
 ]
 
 
 @pytest.mark.parametrize("extra, reason", MISTYPED, ids=[json.dumps(e) for e, _ in MISTYPED])
 def test_mistyped_settings_exit_one_with_one_line(tmp_path, capsys, extra, reason):
-    cfg = write_config(tmp_path, extra=extra)
+    # the kind comes from the file, so a bad one is not overridden by --scenario
+    cfg = write_config(tmp_path, extra={"kind": "cvfl", **extra})
     out = tmp_path / "out"
-    code = run_cli(["run", "--scenario", "cvfl", "--config", cfg, "--out", str(out)])
+    code = run_cli(["run", "--config", cfg, "--out", str(out)])
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("dfedsim: config:")
@@ -347,11 +356,73 @@ def test_runtime_errors_exit_three(tmp_path, capsys):
 # ---------------------------------------------------------- config mirror
 
 
+# every field away from its default, so each decoder branch fills a value
+NON_DEFAULT = {
+    "devices": [
+        {"id": 7, "pos": {"x": -3.5, "y": 4.0}, "mobile": True, "battery": 60.0,
+         "bs_latency_s": 0.02},
+        {"id": 9, "pos": {"x": 12.0, "y": -1.25}, "mobile": False, "battery": 99.5,
+         "bs_latency_s": None},
+    ],
+    "rounds": 7,
+    "link": {"max_transmission_time_s": 0.2, "delay_per_meter_s": 0.002},
+    "cluster_policy": {"max_size": 4, "require_bs_member": False},
+    "head_policy": {"reselect_interval_rounds": 3},
+    "energy": {"attenuation": 3.0, "cycle": 0.3, "compute_coeff": 2e-4, "payload_scale": 2e-3},
+    "data": {
+        "schema": {"num_features": 40, "num_classes": 4, "label_column": 0},
+        "partition": {"devices": 2, "samples_per_device": 100, "strategy": "iid", "seed": 3},
+        "task": "blobs",
+        "sectors": 12,
+        "subset_size": 20,
+        "latent_dim": 10,
+        "spread": 0.75,
+        "latent_factors": 8,
+        "center_scale": 2.5,
+        "test_samples": 100,
+        "probe_fraction": 0.2,
+        "ae_epochs": 3,
+        "ae_learning_rate": 0.02,
+        "csv_path": "data.csv",
+    },
+    "local_epochs": 2,
+    "hidden_units": 16,
+    "learning_rate": 0.05,
+    "batch_size": 8,
+    "max_step_m": 2.0,
+    "mobility_radius_m": 20.0,
+    "seed": 5,
+}
+
+
+def _leaves(value, path="config"):
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _leaves(child, f"{path}.{key}")
+    else:
+        yield path, value
+
+
 def test_config_round_trips_through_its_dict_form():
     for seed in range(3):
         config = config_from_dict({"kind": "dbfl_heterogeneous", "seed": seed})
         mirrored = config_from_dict(config_to_dict(config))
         assert mirrored == config
+    defaults = dict(_leaves(config_to_dict(config_from_dict({"kind": "cvfl"}))))
+    for path, value in _leaves(NON_DEFAULT):
+        assert value != defaults[path], path
+    for kind in ScenarioKind:
+        for method in AggregationMethod:
+            if (kind, method) == (ScenarioKind.DBFL_HETEROGENEOUS, AggregationMethod.RETRAINING):
+                continue  # the one pairing ScenarioConfig rejects
+            data = dict(NON_DEFAULT, kind=kind.value, aggregation=method.value)
+            config = config_from_dict(data)
+            # the dict forms alone would also match undecoded values
+            assert config.kind is kind and config.aggregation is method
+            assert config.devices[1].pos == Position(12.0, -1.25)
+            assert config.data.schema == DatasetSchema(40, 4, label_column=0)
+            assert config_to_dict(config) == data
+            assert config_from_dict(config_to_dict(config)) == config
 
 
 def test_config_dict_spells_out_devices_and_enums():

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from dfedsim import clustering
 from dfedsim.clustering import (
     Cluster,
     ClusterAssignment,
@@ -20,7 +21,8 @@ from dfedsim.clustering import (
     form_clusters,
 )
 from dfedsim.errors import NoConnectableDevice
-from dfedsim.topology import DeviceNode, Position, distance_m
+from dfedsim.scenarios import default_devices
+from dfedsim.topology import DeviceNode, LinkModel, Position, can_connect, distance_m
 
 TOL = 1e-9
 
@@ -103,6 +105,13 @@ def encoding_of(assignment, ids):
     return tuple(anchor_of[i] for i in ids)
 
 
+def member_ids(assignment, participating):
+    """Sorted ids of the devices in participating (or isolated) clusters."""
+    return sorted(
+        m for c in assignment.clusters if c.participating == participating for m in c.member_ids
+    )
+
+
 # -------------------------------------------------------------- tests
 
 
@@ -148,7 +157,7 @@ def test_reference_five_device_topology():
     seeds = {c.member_ids: c.seed_id for c in out.clusters}
     assert seeds[(0, 3)] == 0
     assert seeds[(1, 2, 4)] == 2
-    assert out.participating_ids() == [0, 1, 2, 3, 4]
+    assert member_ids(out, participating=True) == [0, 1, 2, 3, 4]
 
 
 def test_seven_devices_match_oracle():
@@ -206,7 +215,7 @@ def test_out_of_range_device_is_isolated():
     out = form_clusters(
         devices, [True, False, False], ClusterPolicy(), max_member_distance_m=100.0
     )
-    assert out.isolated_ids() == [2]
+    assert member_ids(out, participating=False) == [2]
 
 
 def test_determinism_and_order_invariance():
@@ -241,8 +250,29 @@ def test_max_size_one_isolates_every_non_connectable():
     out = form_clusters(
         devices, [True, False, False], ClusterPolicy(max_size=1)
     )
-    assert out.participating_ids() == [0]
-    assert out.isolated_ids() == [1, 2]
+    assert member_ids(out, participating=True) == [0]
+    assert member_ids(out, participating=False) == [1, 2]
+
+
+def test_cost_matrix_width_does_not_grow_with_max_size(monkeypatch):
+    # a seed can take no more members than there are devices left to place,
+    # so a cap far above the fleet size must not widen the assignment problem
+    devices = list(default_devices())
+    conn = [can_connect(LinkModel(), d.bs_latency_s) for d in devices]
+    uncapped = form_clusters(devices, conn, ClusterPolicy(max_size=len(devices)))
+    shapes = []
+    solve = clustering.linear_sum_assignment
+
+    def recording(cost):
+        shapes.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(clustering, "linear_sum_assignment", recording)
+    out = form_clusters(devices, conn, ClusterPolicy(max_size=10**5))
+    assert shapes
+    for rows, cols in shapes:
+        assert cols <= rows * (len(devices) + 1)
+    assert out == uncapped
 
 
 def test_cluster_assignment_rejects_duplicates():
