@@ -8,15 +8,18 @@ what was actually drained, and an empty battery removes the node.
 from dfedsim import EnergyParams, EnergyState, apply_round, round_energy
 
 params = EnergyParams()  # attenuation 2.0
+cycle = 0.275  # the node's consumption cycle; runs draw it from [0.2, 0.35]
 
 print("transmission cost vs distance (payload 1.0, no compute):")
 for dist in (10.0, 20.0, 40.0, 80.0):
-    cost = round_energy(params, dist, 1.0, 0, 0)
+    cost = round_energy(params, cycle, dist, 1.0, 0, 0)
     print(f"  {dist:5.1f} m -> {cost:10.6f}")
-double = round_energy(params, 20.0, 1.0, 0, 0) / round_energy(params, 10.0, 1.0, 0, 0)
+double = round_energy(params, cycle, 20.0, 1.0, 0, 0) / round_energy(
+    params, cycle, 10.0, 1.0, 0, 0
+)
 print(f"doubling the distance multiplies the cost by {double:.1f}")
 
-compute_only = round_energy(params, 0.0, 0.0, 3500, 2)
+compute_only = round_energy(params, cycle, 0.0, 0.0, 3500, 2)
 print(f"\ncompute-only round (3500 samples x 2 epochs): {compute_only:.6f}")
 
 # now run a battery pool through a few rounds

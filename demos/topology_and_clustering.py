@@ -29,11 +29,7 @@ for d in devices:
     print(f"{d.id:>6}  ({d.pos.x:6.1f},{d.pos.y:6.1f})  {distance_m(d.pos, bs_pos):10.2f}"
           f"  {delay:8.3f}  {ok}")
 
-assignment = form_clusters(
-    devices,
-    connectable,
-    ClusterPolicy(max_size=3, require_bs_member=True),
-)
+assignment = form_clusters(devices, connectable, ClusterPolicy(max_size=3))
 
 print("\nclusters (max 3 members, each needs a base-station-capable member):")
 for cluster in assignment.clusters:

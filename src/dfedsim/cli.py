@@ -418,6 +418,10 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (SimulationError, OSError) as exc:
         print(f"dfedsim: runtime: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # numpy's message names the allocation; Python's own is empty
+        print(f"dfedsim: runtime: {exc or 'out of memory'}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

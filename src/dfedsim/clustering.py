@@ -33,7 +33,6 @@ COST_TOL = 1e-9
 @dataclass(frozen=True)
 class ClusterPolicy:
     max_size: int = 3
-    require_bs_member: bool = True
 
     def __post_init__(self):
         if self.max_size < 1:
@@ -180,7 +179,7 @@ def _solve_fleet(
     be seed-eligible."""
     ids = sorted(by_id)
     max_size = policy.max_size
-    seeds_avail = [d for d in ids if connectable[d] or not policy.require_bs_member]
+    seeds_avail = [d for d in ids if connectable[d]]
 
     dist: dict[tuple[int, int], float] = {}
     in_range: dict[tuple[int, int], bool] = {}
@@ -268,10 +267,9 @@ def form_clusters(
     isolated: list[tuple[tuple[int, ...], int | None]] = []
     for anchor in sorted(members_of):
         member_ids = tuple(sorted(members_of[anchor]))
-        # With the BS requirement, a device anchored at itself is a chosen
-        # seed when connectable and an isolated leftover otherwise. Without
-        # it every device is seed-eligible, so nothing ends up isolated.
-        if conn[anchor] or not policy.require_bs_member:
+        # a device anchored at itself is a chosen seed when connectable and
+        # an isolated leftover otherwise
+        if conn[anchor]:
             seeded.append((member_ids, anchor))
         else:
             isolated.append((member_ids, None))

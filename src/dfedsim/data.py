@@ -40,7 +40,6 @@ class PartitionPlan:
     devices: int
     samples_per_device: int = 3500
     strategy: str = "iid"
-    seed: int = 0
 
     def __post_init__(self):
         if self.devices < 1 or self.samples_per_device < 1:
@@ -284,9 +283,9 @@ def principal_plane_angles(features: np.ndarray) -> np.ndarray:
 
 
 def partition(
-    features: np.ndarray, labels: np.ndarray, plan: PartitionPlan
+    features: np.ndarray, labels: np.ndarray, plan: PartitionPlan, seed: int
 ) -> list[DevicePartition]:
-    """Split a dataset into per-device subsets.
+    """Split a dataset into per-device subsets, drawing from ``seed``.
 
     Strategy "iid" assigns rows uniformly at random. Strategy "coverage"
     models devices that each observe their own region of the environment:
@@ -304,7 +303,7 @@ def partition(
     if x.shape[0] != y.shape[0]:
         raise ValueError("features and labels must have the same length")
     total = plan.devices * plan.samples_per_device
-    rng = substream(plan.seed, "partition")
+    rng = substream(seed, "partition")
     out: list[DevicePartition] = []
     if plan.strategy == "coverage":
         angles = principal_plane_angles(x)

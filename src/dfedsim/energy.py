@@ -26,22 +26,15 @@ def quantize(value: float) -> float:
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Coefficients of the consumption model for one node.
-
-    ``cycle`` is the node's consumption-cycle coefficient; scenario runs
-    draw it per node from [0.2, 0.35].
-    """
+    """Coefficients of the consumption model, shared by every node."""
 
     attenuation: float = 2.0
-    cycle: float = 0.275
     compute_coeff: float = 1e-4
     payload_scale: float = 1e-3
 
     def __post_init__(self):
         if not (math.isfinite(self.attenuation) and self.attenuation > 0):
             raise ValueError("attenuation must be finite and > 0")
-        if not 0.2 <= self.cycle <= 0.35:
-            raise ValueError(f"cycle must be in [0.2, 0.35], got {self.cycle}")
         for value in (self.compute_coeff, self.payload_scale):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError("coefficients must be finite and >= 0")
@@ -64,23 +57,26 @@ def _power(base: float, exponent: float) -> float:
 
 def round_energy(
     params: EnergyParams,
+    cycle: float,
     distance_m: float,
     payload: float,
     samples: int,
     epochs: float,
 ) -> float:
-    """Energy spent in one round on one link/workload.
+    """Energy spent in one round on one link/workload by a node whose
+    consumption-cycle coefficient is ``cycle``; scenario runs draw it per
+    node from [0.2, 0.35].
 
     ``payload`` is the transmitted model size normalized to the reference
     architecture (the reference model has payload 1).
     """
-    if distance_m < 0 or payload < 0 or samples < 0 or epochs < 0:
+    if cycle < 0 or distance_m < 0 or payload < 0 or samples < 0 or epochs < 0:
         raise ValueError("round_energy inputs must be >= 0")
     transmission = 0.0
     if params.payload_scale and payload:  # nothing shipped costs 0, even at infinity
         transmission = params.payload_scale * _power(distance_m, params.attenuation) * payload
     compute = params.compute_coeff * samples * epochs
-    return params.cycle * (transmission + compute)
+    return cycle * (transmission + compute)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ from .rngs import substream
 
 ACTIVATIONS = ("linear", "relu", "sigmoid")
 
+# minibatch size of every autoencoder fit
+AUTOENCODER_BATCH_SIZE = 32
+
 
 @dataclass
 class Layer:
@@ -295,8 +298,6 @@ class ClassifierConfig:
     epochs: int = 1
     batch_size: int = 32
     seed: int = 0
-    shuffle: bool = True
-    standardize: bool = True
 
     def __post_init__(self):
         if self.input_dim < 1 or self.num_classes < 2:
@@ -309,30 +310,26 @@ class ClassifierConfig:
 
 @dataclass(frozen=True)
 class AutoencoderConfig:
+    """Hyperparameters of an autoencoder with one sigmoid hidden layer."""
+
     input_dim: int
     latent_dim: int = 25
     learning_rate: float = 0.01
     epochs: int = 30
     seed: int = 0
-    batch_size: int = 32
-    hidden_activation: str = "sigmoid"
-    shuffle: bool = True
-    standardize: bool = True
 
     def __post_init__(self):
         if self.input_dim < 1 or self.latent_dim < 1:
             raise ValueError("dimensions must be positive")
         if self.latent_dim > self.input_dim:
             raise ValueError("latent_dim must not exceed input_dim")
-        if self.learning_rate <= 0 or self.epochs < 0 or self.batch_size < 1:
+        if self.learning_rate <= 0 or self.epochs < 0:
             raise ValueError("invalid training hyperparameters")
-        if self.hidden_activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.hidden_activation!r}")
 
 
 def feature_scale(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column (mean, std) of a sample matrix, a zero std read as 1:
-    the z-score a trainer whose config sets ``standardize`` applies."""
+    the z-score the trainers apply."""
     x = np.asarray(features, dtype=np.float64)
     mean = x.mean(axis=0)
     std = x.std(axis=0)
@@ -340,13 +337,10 @@ def feature_scale(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _input_scales(
-    standardize: bool,
     xs: list[np.ndarray],
     scales: list[tuple[np.ndarray, np.ndarray]] | None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (mean, std) that each device's rows are standardized with."""
-    if not standardize:
-        return [(np.zeros(x.shape[1]), np.ones(x.shape[1])) for x in xs]
     if scales is None:
         return [feature_scale(x) for x in xs]
     for x, (mean, std) in zip(xs, scales, strict=True):
@@ -379,7 +373,6 @@ def _sgd(
     learning_rate: float,
     batch_size: int,
     seeds: list[int],
-    shuffle: bool,
     stream: str,
 ) -> list[DenseNetwork]:
     """Minibatch SGD on D equal-shaped networks at once; returns the trained
@@ -405,10 +398,7 @@ def _sgd(
     # device's training set is ever built
     buffer = np.empty((len(nets), min(batch_size, n), width))
     for epoch in range(epochs):
-        if shuffle:
-            orders = [substream(seed, stream, epoch).permutation(n) for seed in seeds]
-        else:
-            orders = [np.arange(n)] * len(nets)
+        orders = [substream(seed, stream, epoch).permutation(n) for seed in seeds]
         if labels is not None:
             ordered = np.stack([y[order] for y, order in zip(labels, orders)])
         for start in range(0, n, batch_size):
@@ -460,8 +450,7 @@ def train_classifier(
     None), the devices train in one stacked SGD pass; the list of networks
     that comes back is bit for bit what each device gets alone. ``scales``
     lists ``feature_scale(features[d])`` of each device, computed earlier
-    by a caller that trains the same rows again (one pair for one config);
-    a config that does not standardize ignores them.
+    by a caller that trains the same rows again (one pair for one config).
     """
     single = isinstance(config, ClassifierConfig)
     if single:
@@ -483,7 +472,7 @@ def train_classifier(
             raise ValueError(f"labels must lie in [0, {config.num_classes})")
         xs.append(x)
         ys.append(y)
-    scales = _input_scales(config.standardize, xs, scales)
+    scales = _input_scales(xs, scales)
 
     nets = []
     for cfg, net, (mean, std) in zip(configs, inits, scales, strict=True):
@@ -503,7 +492,7 @@ def train_classifier(
     trained = _sgd(
         nets, xs, scales, ys,
         config.epochs, config.learning_rate, config.batch_size,
-        [cfg.seed for cfg in configs], config.shuffle, "classifier-shuffle",
+        [cfg.seed for cfg in configs], "classifier-shuffle",
     )
     folded = [
         _read_only(_fold_input_transform(net, mean, std))
@@ -539,20 +528,20 @@ def train_autoencoder(
         raise ValueError(f"{len(configs)} configs but {len(xs)} sample matrices")
     if any(x.shape[0] == 0 for x in xs):
         raise EmptyDataset("training needs at least one sample")
-    scales = _input_scales(config.standardize, xs, scales)
+    scales = _input_scales(xs, scales)
 
     nets = [
         glorot_init(
             [config.input_dim, config.latent_dim, config.input_dim],
-            [config.hidden_activation, "linear"],
+            ["sigmoid", "linear"],
             substream(cfg.seed, "autoencoder-init"),
         )
         for cfg in configs
     ]
     trained = _sgd(
         nets, xs, scales, None,
-        config.epochs, config.learning_rate, config.batch_size,
-        [cfg.seed for cfg in configs], config.shuffle, "autoencoder-shuffle",
+        config.epochs, config.learning_rate, AUTOENCODER_BATCH_SIZE,
+        [cfg.seed for cfg in configs], "autoencoder-shuffle",
     )
 
     pairs = []

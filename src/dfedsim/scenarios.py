@@ -323,13 +323,13 @@ class _Network:
             config.data
         )
 
-    def _draw_cycles(self) -> dict[int, EnergyParams]:
+    def _draw_cycles(self) -> dict[int, float]:
+        """Each device's consumption-cycle coefficient, from [0.2, 0.35]."""
         rng = substream(self.config.seed, "consumption-cycles")
-        out = {}
-        for device in sorted(self.config.devices, key=lambda d: d.id):
-            cycle = float(rng.uniform(0.2, 0.35))
-            out[device.id] = dataclasses.replace(self.config.energy, cycle=cycle)
-        return out
+        return {
+            device.id: float(rng.uniform(0.2, 0.35))
+            for device in sorted(self.config.devices, key=lambda d: d.id)
+        }
 
     # ------------------------------------------------------- connectivity
 
@@ -431,6 +431,7 @@ class _Network:
             distance = self._energy_distance(self._bs_distance(d))
             if d in participants:
                 costs[d] = round_energy(
+                    self.config.energy,
                     self.cycles[d],
                     distance,
                     self.payload,
@@ -439,7 +440,7 @@ class _Network:
                 )
             else:
                 # out of reach: the upload attempt still burns transmit power
-                costs[d] = round_energy(self.cycles[d], distance, 1.0, 0, 0)
+                costs[d] = round_energy(self.config.energy, self.cycles[d], distance, 1.0, 0, 0)
         groups = ((None, participants),) if participants else ()
         return groups, links, costs
 
@@ -478,6 +479,7 @@ class _Network:
                     )
                     links.append((m, head, delay))
                 costs[m] = round_energy(
+                    self.config.energy,
                     self.cycles[m],
                     self._energy_distance(distance),
                     self.payload,
@@ -486,9 +488,9 @@ class _Network:
                 )
                 if round_index == 0 and self.hetero:
                     # one-time autoencoder fit, charged as compute
-                    ae_epochs = self.config.data.ae_epochs
                     costs[m] += round_energy(
-                        self.cycles[m], 0.0, 0.0, self.train_samples, ae_epochs
+                        self.config.energy, self.cycles[m], 0.0, 0.0,
+                        self.train_samples, self.config.data.ae_epochs,
                     )
             groups.append((head, members))
         return tuple(groups), links, costs
@@ -541,9 +543,9 @@ def _build_dataset(config: ScenarioConfig) -> _Dataset:
     if features.shape[0] <= plan.test_samples:
         raise ConfigError("dataset smaller than the held-out test split")
     pool = features.shape[0] - plan.test_samples
-    part_plan = dataclasses.replace(plan.partition, devices=devices, seed=config.seed)
+    part_plan = dataclasses.replace(plan.partition, devices=devices)
     test_x, test_y = features[pool:], labels[pool:]
-    parts = partition(features[:pool], labels[:pool], part_plan)
+    parts = partition(features[:pool], labels[:pool], part_plan, config.seed)
     arrays = [test_x, test_y]
     for part in parts:
         arrays += [part.features, part.labels]

@@ -6,6 +6,10 @@ whole module stays fast; stdout/stderr go through capsys.
 
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,8 +26,10 @@ from dfedsim.cli import (
     run_cli,
 )
 from dfedsim.data import DatasetSchema
-from dfedsim.scenarios import ScenarioConfig, ScenarioKind
+from dfedsim.scenarios import ScenarioConfig, ScenarioKind, run_scenario
 from dfedsim.topology import Position
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL = {
     "rounds": 2,
@@ -317,6 +323,12 @@ MISTYPED = [
     ({"devices": {"id": 0}}, "config.devices must be a list"),
     ({"devices": [{"id": 0, "pos": {"x": 1.0, "y": "far"}}]},
      "config.devices[0].pos.y must be a finite number"),
+    # keys a run would replace: the drawn cycles, the run seed, a connectable seed
+    ({"energy": {"cycle": 0.3}}, "unknown key(s) under config.energy: cycle"),
+    ({"cluster_policy": {"require_bs_member": False}},
+     "unknown key(s) under config.cluster_policy: require_bs_member"),
+    ({"data": {"partition": {"devices": 5, "seed": 3}}},
+     "unknown key(s) under config.data.partition: seed"),
 ]
 
 
@@ -331,6 +343,9 @@ def test_mistyped_settings_exit_one_with_one_line(tmp_path, capsys, extra, reaso
     assert len(lines) == 1 and lines[0].startswith("dfedsim: config:")
     assert reason in lines[0]
     assert not out.exists()
+    # validate reads the file the same way, so it fails the same way
+    assert run_cli(["validate", "--config", cfg]) == 1
+    assert capsys.readouterr().err.splitlines() == lines
 
 
 def test_data_errors_exit_two(tmp_path, capsys):
@@ -353,6 +368,58 @@ def test_runtime_errors_exit_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("dfedsim: runtime:")
 
 
+# 40 rows per device; partition.devices is accepted, and the fleet size overrides it
+BLOBS_40 = {
+    "task": "blobs",
+    "partition": {"devices": 5, "samples_per_device": 40, "strategy": "coverage"},
+    "test_samples": 40,
+}
+
+
+def _cap_address_space():
+    # runs in the child only: an allocation past 3 GiB fails there at once
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_out_of_memory_exits_three_with_one_line(tmp_path):
+    # validate accepts this width, and round 0 asks for a 20 GiB weight matrix
+    cfg = tmp_path / "config.json"
+    config = {"kind": "cvfl", "rounds": 1, "hidden_units": 10_000_000, "data": BLOBS_40}
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    result = subprocess.run(
+        [sys.executable, "-c", "from dfedsim.cli import main; main()", *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=_cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    lines = result.stderr.splitlines()
+    assert result.returncode == 3, result.stderr
+    assert len(lines) == 1 and lines[0].startswith("dfedsim: runtime:")
+    assert run_cli(["validate", "--config", str(cfg)]) == 0
+
+
+def test_a_device_that_reaches_no_cluster_seed_is_isolated(tmp_path):
+    # device 2 can reach neither the base station nor a connectable seed
+    fleet = [
+        {"id": 0, "pos": {"x": -12.0, "y": 16.0}, "bs_latency_s": 0.05},
+        {"id": 1, "pos": {"x": 19.2, "y": 25.6}, "bs_latency_s": 0.08},
+        {"id": 2, "pos": {"x": 500.0, "y": 500.0}, "bs_latency_s": 0.15},
+    ]
+    config = {"kind": "dbfl_homogeneous", "rounds": 2, "devices": fleet, "data": BLOBS_40}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_rows(out / "trace_dbfl_homogeneous.csv")
+    assert [r["participants"] for r in rows] == ["0;1"] * 2
+    for trace in run_scenario(config_from_dict(config)):
+        (cluster,) = [c for c in trace.clusters.clusters if 2 in c.member_ids]
+        assert cluster.member_ids == (2,) and not cluster.participating
+
+
 # ---------------------------------------------------------- config mirror
 
 
@@ -366,12 +433,12 @@ NON_DEFAULT = {
     ],
     "rounds": 7,
     "link": {"max_transmission_time_s": 0.2, "delay_per_meter_s": 0.002},
-    "cluster_policy": {"max_size": 4, "require_bs_member": False},
+    "cluster_policy": {"max_size": 4},
     "head_policy": {"reselect_interval_rounds": 3},
-    "energy": {"attenuation": 3.0, "cycle": 0.3, "compute_coeff": 2e-4, "payload_scale": 2e-3},
+    "energy": {"attenuation": 3.0, "compute_coeff": 2e-4, "payload_scale": 2e-3},
     "data": {
         "schema": {"num_features": 40, "num_classes": 4, "label_column": 0},
-        "partition": {"devices": 2, "samples_per_device": 100, "strategy": "iid", "seed": 3},
+        "partition": {"devices": 2, "samples_per_device": 100, "strategy": "iid"},
         "task": "blobs",
         "sectors": 12,
         "subset_size": 20,

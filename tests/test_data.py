@@ -137,7 +137,7 @@ def test_partition_disjoint_when_enough_samples():
     x, y = gen_synthetic(schema, samples=600, seed=8)
     x = np.ascontiguousarray(x)
     x[:, 0] = np.arange(600)  # tag rows so overlap is detectable
-    parts = partition(x, y, PartitionPlan(devices=4, samples_per_device=150, seed=2))
+    parts = partition(x, y, PartitionPlan(devices=4, samples_per_device=150), 2)
     assert len(parts) == 4
     tags = np.concatenate([p.features[:, 0] for p in parts])
     assert len(set(tags.tolist())) == 600
@@ -147,7 +147,7 @@ def test_partition_disjoint_when_enough_samples():
 def test_partition_single_device_full_size_is_a_permutation():
     x = np.arange(30, dtype=float).reshape(10, 3)
     y = np.arange(10)
-    parts = partition(x, y, PartitionPlan(devices=1, samples_per_device=10, seed=4))
+    parts = partition(x, y, PartitionPlan(devices=1, samples_per_device=10), 4)
     assert sorted(parts[0].features[:, 0].tolist()) == sorted(x[:, 0].tolist())
     assert sorted(parts[0].labels.tolist()) == sorted(y.tolist())
 
@@ -155,7 +155,7 @@ def test_partition_single_device_full_size_is_a_permutation():
 def test_partition_falls_back_to_replacement():
     x = np.zeros((10, 2))
     y = np.zeros(10, dtype=int)
-    parts = partition(x, y, PartitionPlan(devices=3, samples_per_device=8, seed=1))
+    parts = partition(x, y, PartitionPlan(devices=3, samples_per_device=8), 1)
     assert all(p.with_replacement for p in parts)
     assert all(p.features.shape == (8, 2) for p in parts)
 
@@ -167,7 +167,7 @@ def test_partition_class_proportions_stay_close():
     global_props = np.bincount(y, minlength=9) / len(y)
     worst = 0.0
     for seed in range(100):
-        parts = partition(x, y, PartitionPlan(devices=5, samples_per_device=3500, seed=seed))
+        parts = partition(x, y, PartitionPlan(devices=5, samples_per_device=3500), seed)
         for p in parts:
             props = np.bincount(p.labels, minlength=9) / len(p.labels)
             worst = max(worst, float(np.max(np.abs(props - global_props))))
@@ -177,9 +177,9 @@ def test_partition_class_proportions_stay_close():
 def test_partition_determinism():
     x = np.random.default_rng(11).normal(size=(100, 3))
     y = np.random.default_rng(12).integers(0, 3, 100)
-    plan = PartitionPlan(devices=3, samples_per_device=20, seed=9)
-    a = partition(x, y, plan)
-    b = partition(x, y, plan)
+    plan = PartitionPlan(devices=3, samples_per_device=20)
+    a = partition(x, y, plan, 9)
+    b = partition(x, y, plan, 9)
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.features, pb.features)
         assert np.array_equal(pa.labels, pb.labels)
@@ -303,8 +303,8 @@ def test_coverage_partition_disjoint_and_sized():
     x, y = gen_ring_sectors(schema, samples=2000, seed=14, sectors=6)
     x = np.ascontiguousarray(x)
     x[:, 0] = np.arange(2000)  # tag rows so overlap is detectable
-    plan = PartitionPlan(devices=4, samples_per_device=300, strategy="coverage", seed=3)
-    parts = partition(x, y, plan)
+    plan = PartitionPlan(devices=4, samples_per_device=300, strategy="coverage")
+    parts = partition(x, y, plan, 3)
     tags = np.concatenate([p.features[:, 0] for p in parts])
     assert len(tags) == 1200
     assert len(set(tags.tolist())) == 1200
@@ -320,8 +320,8 @@ def test_coverage_partition_rows_stay_inside_a_half_circle():
     x[:, 1] = 10.0 * np.sin(theta)
     x[:, 2:] = 0.01 * rng.normal(size=(3000, 4))
     y = np.zeros(3000, dtype=int)
-    plan = PartitionPlan(devices=5, samples_per_device=400, strategy="coverage", seed=6)
-    parts = partition(x, y, plan)
+    plan = PartitionPlan(devices=5, samples_per_device=400, strategy="coverage")
+    parts = partition(x, y, plan, 6)
     for p in parts:
         a = np.sort(np.arctan2(p.features[:, 1], p.features[:, 0]))
         gaps = np.diff(np.concatenate([a, [a[0] + 2 * np.pi]]))
@@ -334,9 +334,9 @@ def test_coverage_partition_rows_stay_inside_a_half_circle():
 def test_coverage_partition_determinism():
     schema = DatasetSchema(num_features=7, num_classes=3)
     x, y = gen_ring_sectors(schema, samples=900, seed=17, sectors=6)
-    plan = PartitionPlan(devices=3, samples_per_device=250, strategy="coverage", seed=11)
-    a = partition(x, y, plan)
-    b = partition(x, y, plan)
+    plan = PartitionPlan(devices=3, samples_per_device=250, strategy="coverage")
+    a = partition(x, y, plan, 11)
+    b = partition(x, y, plan, 11)
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.features, pb.features)
         assert np.array_equal(pa.labels, pb.labels)
@@ -346,16 +346,17 @@ def test_coverage_partition_tops_up_with_replacement_when_starved():
     rng = np.random.default_rng(40)
     x = rng.normal(size=(50, 4))
     y = np.zeros(50, dtype=int)
-    plan = PartitionPlan(devices=4, samples_per_device=40, strategy="coverage", seed=2)
-    parts = partition(x, y, plan)
+    plan = PartitionPlan(devices=4, samples_per_device=40, strategy="coverage")
+    parts = partition(x, y, plan, 2)
     assert all(p.features.shape == (40, 4) for p in parts)
     assert any(p.with_replacement for p in parts)
 
 
-def coverage_partition_oracle(x, y, plan):
+def coverage_partition_oracle(x, y, plan, seed):
     """The per-row coverage loop as it stood before the arc patterns were
-    precomputed, kept verbatim as the reference."""
-    rng = substream(plan.seed, "partition")
+    precomputed, kept verbatim as the reference (the seed now comes apart
+    from the plan)."""
+    rng = substream(seed, "partition")
     out = []
     angles = principal_plane_angles(x)
     width = np.pi
@@ -410,8 +411,10 @@ def coverage_partition_oracle(x, y, plan):
 def test_coverage_partition_matches_the_per_row_loop(seed, samples, devices, per_device):
     schema = DatasetSchema(num_features=8, num_classes=3)
     x, y = gen_ring_sectors(schema, samples=samples, seed=seed, sectors=6)
-    plan = PartitionPlan(devices, per_device, strategy="coverage", seed=seed)
-    for got, want in zip(partition(x, y, plan), coverage_partition_oracle(x, y, plan), strict=True):
+    plan = PartitionPlan(devices, per_device, strategy="coverage")
+    got_parts = partition(x, y, plan, seed)
+    want_parts = coverage_partition_oracle(x, y, plan, seed)
+    for got, want in zip(got_parts, want_parts, strict=True):
         assert got.features.tobytes() == want.features.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
         assert got.with_replacement == want.with_replacement

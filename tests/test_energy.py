@@ -12,18 +12,21 @@ from dfedsim.energy import (
     round_energy,
 )
 
+CYCLE = 0.275  # a node's consumption cycle, inside the drawn [0.2, 0.35]
+
 
 def test_zero_distance_zero_samples_is_free():
     params = EnergyParams()
-    assert round_energy(params, distance_m=0.0, payload=1.0, samples=0, epochs=0) == 0.0
+    assert round_energy(params, CYCLE, distance_m=0.0, payload=1.0, samples=0, epochs=0) == 0.0
 
 
 def test_formula_matches_manual_computation():
     # independent recomputation of the two-term model at attenuation 2
-    params = EnergyParams(attenuation=2.0, cycle=0.3, compute_coeff=1e-4, payload_scale=1e-3)
+    params = EnergyParams(attenuation=2.0, compute_coeff=1e-4, payload_scale=1e-3)
     d, payload, samples, epochs = 40.0, 1.25, 3500, 1
     expected = 0.3 * (1e-3 * (40.0 * 40.0) * 1.25 + 1e-4 * 3500 * 1)
-    assert round_energy(params, d, payload, samples, epochs) == pytest.approx(expected, rel=1e-15)
+    got = round_energy(params, 0.3, d, payload, samples, epochs)
+    assert got == pytest.approx(expected, rel=1e-15)
 
 
 def test_doubling_distance_quadruples_transmission_exactly():
@@ -32,14 +35,14 @@ def test_doubling_distance_quadruples_transmission_exactly():
     for _ in range(1000):
         d = rng.uniform(0.1, 500.0)
         payload = rng.uniform(0.1, 3.0)
-        base = round_energy(params, d, payload, samples=0, epochs=0)
-        doubled = round_energy(params, 2.0 * d, payload, samples=0, epochs=0)
+        base = round_energy(params, CYCLE, d, payload, samples=0, epochs=0)
+        doubled = round_energy(params, CYCLE, 2.0 * d, payload, samples=0, epochs=0)
         assert doubled == 4.0 * base
 
 
 def test_non_integer_attenuation_still_works():
     params = EnergyParams(attenuation=2.5)
-    got = round_energy(params, 9.0, 1.0, 0, 0)
+    got = round_energy(params, CYCLE, 9.0, 1.0, 0, 0)
     assert got == pytest.approx(0.275 * 1e-3 * 9.0**2.5, rel=1e-12)
 
 
@@ -49,22 +52,22 @@ def test_monotone_in_every_argument():
     for _ in range(300):
         d, payload = rng.uniform(0, 200), rng.uniform(0, 2)
         samples, epochs = int(rng.integers(0, 5000)), rng.uniform(0, 3)
-        base = round_energy(params, d, payload, samples, epochs)
-        assert round_energy(params, d + rng.uniform(0, 50), payload, samples, epochs) >= base
-        assert round_energy(params, d, payload + rng.uniform(0, 1), samples, epochs) >= base
-        assert round_energy(params, d, payload, samples + 100, epochs) >= base
-        assert round_energy(params, d, payload, samples, epochs + 1) >= base
+        base = round_energy(params, CYCLE, d, payload, samples, epochs)
+        farther = d + rng.uniform(0, 50)
+        assert round_energy(params, CYCLE, farther, payload, samples, epochs) >= base
+        heavier = payload + rng.uniform(0, 1)
+        assert round_energy(params, CYCLE, d, heavier, samples, epochs) >= base
+        assert round_energy(params, CYCLE, d, payload, samples + 100, epochs) >= base
+        assert round_energy(params, CYCLE, d, payload, samples, epochs + 1) >= base
 
 
 def test_param_validation():
     with pytest.raises(ValueError):
         EnergyParams(attenuation=0.0)
     with pytest.raises(ValueError):
-        EnergyParams(cycle=0.1)
+        round_energy(EnergyParams(), CYCLE, -1.0, 1.0, 0, 0)
     with pytest.raises(ValueError):
-        EnergyParams(cycle=0.4)
-    with pytest.raises(ValueError):
-        round_energy(EnergyParams(), -1.0, 1.0, 0, 0)
+        round_energy(EnergyParams(), -0.1, 1.0, 1.0, 0, 0)
 
 
 def test_ledger_zero_cost_keeps_state():
@@ -100,11 +103,11 @@ def test_transmission_that_overflows_is_infinite():
     # distance ** 1e308 overflows the float power; shipping nothing costs
     # nothing whatever the distance
     params = EnergyParams(attenuation=1e308)
-    assert round_energy(params, 40.0, 1.0, samples=0, epochs=0) == float("inf")
-    compute = params.cycle * params.compute_coeff * 100
-    assert round_energy(params, 40.0, 0.0, samples=100, epochs=1) == compute
+    assert round_energy(params, CYCLE, 40.0, 1.0, samples=0, epochs=0) == float("inf")
+    compute = CYCLE * params.compute_coeff * 100
+    assert round_energy(params, CYCLE, 40.0, 0.0, samples=100, epochs=1) == compute
     free = EnergyParams(payload_scale=0.0)
-    assert round_energy(free, float("inf"), 1.0, samples=0, epochs=0) == 0.0
+    assert round_energy(free, CYCLE, float("inf"), 1.0, samples=0, epochs=0) == 0.0
 
 
 def test_ledger_conservation_exact_over_many_rounds():

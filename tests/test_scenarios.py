@@ -225,8 +225,8 @@ def test_autoencoder_fit_charged_once_at_round_zero():
     for dev_id in t_lean[0].participants:
         extra = t_rich[0].energy_spent[dev_id] - t_lean[0].energy_spent[dev_id]
         samples = run.devices[dev_id].rows.train_x.shape[0]
-        cycle = run.network.cycles[dev_id].cycle
-        expected = cycle * run.network.cycles[dev_id].compute_coeff * samples * 35
+        cycle = run.network.cycles[dev_id]
+        expected = cycle * config.energy.compute_coeff * samples * 35
         assert extra == pytest.approx(expected, rel=1e-9)
 
 

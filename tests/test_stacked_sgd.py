@@ -170,25 +170,20 @@ def _devices(count, rows, dims, acts, loss, seed):
 
 @pytest.mark.parametrize("count", [1, 2, 5])
 @pytest.mark.parametrize("dims, acts, loss", SHAPES)
-@pytest.mark.parametrize(
-    "rows, batch_size, shuffle",
-    [(70, 16, True), (70, 16, False), (40, 64, True), (33, 1, False)],
-)
-def test_stacked_sgd_is_bitwise_the_per_device_loop(
-    count, dims, acts, loss, rows, batch_size, shuffle
-):
+@pytest.mark.parametrize("rows, batch_size", [(70, 16), (40, 64), (33, 1)])
+def test_stacked_sgd_is_bitwise_the_per_device_loop(count, dims, acts, loss, rows, batch_size):
     xs, labels, nets, scales = _devices(count, rows, dims, acts, loss, seed=count + rows)
     seeds = [1000 + 17 * d for d in range(count)]
     stacked = ml_core._sgd(
         nets, xs, scales, None if loss == "mse" else labels,
-        2, 0.05, batch_size, seeds, shuffle, "stacked-test",
+        2, 0.05, batch_size, seeds, "stacked-test",
     )
     for d in range(count):
         mean, std = scales[d]
         x = (xs[d] - mean) / std
         target = x if loss == "mse" else labels[d]
         alone = _sgd(
-            nets[d].copy(), x, target, loss, 2, 0.05, batch_size, seeds[d], shuffle,
+            nets[d].copy(), x, target, loss, 2, 0.05, batch_size, seeds[d], True,
             "stacked-test",
         )
         for got, want in zip(stacked[d].layers, alone.layers, strict=True):
@@ -200,7 +195,7 @@ def test_stacked_sgd_is_bitwise_the_per_device_loop(
 def test_stacked_sgd_leaves_its_input_networks_untouched():
     xs, labels, nets, scales = _devices(2, 30, [6, 5, 3], ["relu", "linear"], "cross_entropy", 4)
     before = [[layer.weights.tobytes() for layer in net.layers] for net in nets]
-    ml_core._sgd(nets, xs, scales, labels, 1, 0.1, 8, [1, 2], True, "s")
+    ml_core._sgd(nets, xs, scales, labels, 1, 0.1, 8, [1, 2], "s")
     assert [[layer.weights.tobytes() for layer in net.layers] for net in nets] == before
 
 
@@ -228,12 +223,12 @@ def test_unequal_devices_raise_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         ml_core._sgd(
             nets, [xs[0], xs[1][:20]], scales, [labels[0], labels[1][:20]],
-            1, 0.1, 8, [1, 2], True, "s",
+            1, 0.1, 8, [1, 2], "s",
         )
     wider = glorot_init([6, 4, 3], ["relu", "linear"], substream(0, "wider"))
     with pytest.raises(DimensionMismatch):
         ml_core._sgd(
-            [nets[0], wider], xs, scales, labels, 1, 0.1, 8, [1, 2], True, "s"
+            [nets[0], wider], xs, scales, labels, 1, 0.1, 8, [1, 2], "s"
         )
 
 
@@ -273,13 +268,13 @@ def _same_bytes(a: DenseNetwork, b: DenseNetwork) -> None:
         assert got.bias.tobytes() == want.bias.tobytes()
 
 
-@pytest.mark.parametrize("hidden_units, standardize", [(5, True), (0, True), (5, False)])
-def test_a_list_of_configs_trains_each_device_as_alone(hidden_units, standardize):
+@pytest.mark.parametrize("hidden_units", [5, 0])
+def test_a_list_of_configs_trains_each_device_as_alone(hidden_units):
     xs, labels, _, _ = _devices(3, 50, [6, 5, 3], ["relu", "linear"], "cross_entropy", 8)
     configs = [
         ml_core.ClassifierConfig(
             input_dim=6, hidden_units=hidden_units, num_classes=3, epochs=2,
-            batch_size=16, seed=40 + d, standardize=standardize,
+            batch_size=16, seed=40 + d,
         )
         for d in range(3)
     ]
@@ -300,7 +295,7 @@ def test_a_list_of_configs_trains_each_device_as_alone(hidden_units, standardize
 def test_a_list_of_autoencoder_configs_trains_each_device_as_alone():
     xs, _, _, _ = _devices(3, 40, [6, 4, 6], ["sigmoid", "linear"], "mse", 9)
     configs = [
-        ml_core.AutoencoderConfig(input_dim=6, latent_dim=4, epochs=2, batch_size=16, seed=d)
+        ml_core.AutoencoderConfig(input_dim=6, latent_dim=4, epochs=2, seed=d)
         for d in range(3)
     ]
     stacked = ml_core.train_autoencoder(
