@@ -170,7 +170,7 @@ def _devices(count, rows, dims, acts, loss, seed):
 
 @pytest.mark.parametrize("count", [1, 2, 5])
 @pytest.mark.parametrize("dims, acts, loss", SHAPES)
-@pytest.mark.parametrize("rows, batch_size", [(70, 16), (40, 64), (33, 1)])
+@pytest.mark.parametrize("rows, batch_size", [(70, 16), (64, 16), (40, 64), (33, 1)])
 def test_stacked_sgd_is_bitwise_the_per_device_loop(count, dims, acts, loss, rows, batch_size):
     xs, labels, nets, scales = _devices(count, rows, dims, acts, loss, seed=count + rows)
     seeds = [1000 + 17 * d for d in range(count)]
