@@ -7,7 +7,6 @@ accuracy and energy.
 """
 
 from .aggregation import (
-    AggregationMethod,
     ModelArtifact,
     ProbeSet,
     adaptive_average,
@@ -25,6 +24,7 @@ from .clustering import (
     ClusterPolicy,
     form_clusters,
 )
+from .config import AggregationMethod, ScenarioConfig, ScenarioKind, default_devices
 from .data import (
     DataPlan,
     DatasetSchema,
@@ -64,10 +64,7 @@ from .ml_core import (
 )
 from .scenarios import (
     RoundTrace,
-    ScenarioConfig,
-    ScenarioKind,
     compare_scenarios,
-    default_devices,
     delay_sweep,
     run_scenario,
     total_energy,

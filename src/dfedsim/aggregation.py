@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,13 +24,6 @@ from .ml_core import (
 
 ADAPTIVE_GRID_STEP = 0.05
 ADAPTIVE_MAX_SWEEPS = 50
-
-
-class AggregationMethod(Enum):
-    WEIGHTED_AVERAGING = "weighted"
-    ADAPTIVE_WEIGHTED_AVERAGING = "adaptive"
-    META_LEARNING = "meta"
-    RETRAINING = "retrain"
 
 
 @dataclass(frozen=True)

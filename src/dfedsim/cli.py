@@ -28,6 +28,7 @@ import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .config import ScenarioConfig, ScenarioKind
 from .data import _generate, write_csv
 from .errors import (
     ConfigError,
@@ -40,8 +41,7 @@ from .errors import (
 )
 from .scenarios import (
     RoundTrace,
-    ScenarioConfig,
-    ScenarioKind,
+    _dataset_rows,
     _sweep_configs,
     compare_scenarios,
     run_scenario,
@@ -98,17 +98,18 @@ def _describe(annotation) -> str:
     return " or ".join(words.get(arm, arm.__name__) for arm in arms)
 
 
-def _decode(annotation, value, context: str):
+def _decode(annotation, value, context: str, default=dataclasses.MISSING):
     """A decoded JSON value as a field of this annotation: a config class
-    from an object, an enum member by its value, ``tuple[X, ...]`` from a
-    list of ``X``, and any other leaf as ``_fits`` allows."""
+    from an object (starting from the field's ``default`` when it has one),
+    an enum member by its value, ``tuple[X, ...]`` from a list of ``X``,
+    and any other leaf as ``_fits`` allows."""
     if typing.get_origin(annotation) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{context} must be a list, got {type(value).__name__}")
         item = typing.get_args(annotation)[0]
         return tuple(_decode(item, v, f"{context}[{i}]") for i, v in enumerate(value))
     if dataclasses.is_dataclass(annotation):
-        return _build(annotation, value, context)
+        return _build(annotation, value, context, default)
     if isinstance(annotation, type) and issubclass(annotation, enum.Enum):
         try:
             return annotation(value)
@@ -120,19 +121,26 @@ def _decode(annotation, value, context: str):
     raise ConfigError(f"{context} must be {_describe(annotation)}, got {value!r}")
 
 
-def _build(cls, data: dict, context: str):
+def _build(cls, data: dict, context: str, default=dataclasses.MISSING):
+    """A ``cls`` from an object. With a ``default`` instance the object
+    replaces only the keys it names, so a partial nested object keeps the
+    rest of its field's default."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be an object, got {type(data).__name__}")
     # the annotations are strings under postponed evaluation
     hints = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ConfigError(f"unknown key(s) under {context}: {', '.join(unknown)}")
     kwargs = {
-        name: _decode(hints[name], value, f"{context}.{name}") for name, value in data.items()
+        name: _decode(hints[name], value, f"{context}.{name}", fields[name].default)
+        for name, value in data.items()
     }
     try:
-        return cls(**kwargs)
+        if default is dataclasses.MISSING:
+            return cls(**kwargs)
+        return dataclasses.replace(default, **kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
@@ -329,9 +337,7 @@ def _cmd_gen_data(args) -> int:
             raise ConfigError("--samples must be >= 1")
         samples = args.samples
     else:
-        samples = (
-            len(config.devices) * plan.partition.samples_per_device + plan.test_samples
-        )
+        samples = _dataset_rows(config)
     features, labels = _generate(plan, samples, config.seed)
     out = Path(args.out)
     data_path = out / "dataset.csv"

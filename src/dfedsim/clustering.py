@@ -145,7 +145,11 @@ def _solve_seed_set_with_capacity(
         return 0, 0.0, {}
     # one column per member a seed can still take, and it can take no more than rest
     seed_cols = [s for s in seed_ids for _ in range(min(capacity[s], n))]
-    max_dist = max((dist[(r, s)] for r in rest for s in seed_ids), default=0.0)
+    # only in-range pairs can be assigned, and an out-of-range distance near
+    # the float range would overflow the penalty
+    max_dist = max(
+        (dist[(r, s)] for r in rest for s in seed_ids if in_range[(r, s)]), default=0.0
+    )
     penalty = (n + 1) * (max_dist + 1.0)
     cost = np.full((n, len(seed_cols) + n), np.inf)
     for i, r in enumerate(rest):

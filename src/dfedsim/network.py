@@ -1,0 +1,285 @@
+"""The network plane (``_Network``) reads only the config, the device
+positions, the consumption cycles and the energy ledger. It steps the
+mobile devices, works out who is alive and who can reach the base station,
+refreshes clusters and elects heads on the head-policy cadence, and charges
+the round. Its output is a ``_RoundPlan``: who trains, which groups
+aggregate where, the link records and the effective charges. Energy never
+depends on a trained weight: every device trains on ``samples_per_device``
+rows minus its probe split and ships a model whose size the config fixes,
+so the plane needs neither data nor models.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from dataclasses import dataclass
+
+from .clustering import ClusterAssignment, form_clusters
+from .config import ScenarioConfig, ScenarioKind
+from .data import DataPlan
+from .energy import EnergyState, apply_round, round_energy
+from .head_selection import HeadCandidateView, select_head
+from .rngs import substream
+from .topology import (
+    DeviceNode,
+    Position,
+    can_connect,
+    distance_m,
+    random_step,
+    transmission_delay,
+)
+
+BS_POSITION = Position(0.0, 0.0)
+BS_NODE_ID = -1  # destination marker in link-delay records
+
+# Delay-per-meter value at which geometric distance and energy distance
+# coincide; sweeping the delay above it scales transmission energy up.
+REFERENCE_DELAY_PER_METER = 1e-3
+
+# Head-side aggregation work, as a fraction of one local training epoch.
+HEAD_AGGREGATION_EPOCHS = 0.1
+
+
+def _classifier_params(input_dim: int, hidden: int, classes: int) -> int:
+    if hidden > 0:
+        return hidden * (input_dim + 1) + classes * (hidden + 1)
+    return classes * (input_dim + 1)
+
+
+def _probe_rows(plan: DataPlan) -> int:
+    # partition hands every device exactly samples_per_device rows
+    return max(1, int(round(plan.probe_fraction * plan.partition.samples_per_device)))
+
+
+@dataclass(frozen=True)
+class _RoundPlan:
+    """One round as the network plane scheduled and charged it.
+
+    ``groups`` lists (head, members) in aggregation order; a group with
+    head None uploads straight to the base station.
+    """
+
+    participants: tuple[int, ...]
+    clusters: ClusterAssignment | None
+    head_ids: tuple[int, ...]
+    groups: tuple[tuple[int | None, tuple[int, ...]], ...]
+    links: tuple[tuple[int, int, float], ...]
+    charges: dict[int, float]
+
+
+class _Network:
+    """The network plane of a run: reads the config, never a device's data."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.hetero = config.kind is ScenarioKind.DBFL_HETEROGENEOUS
+        self.nodes = {d.id: d for d in config.devices}
+        self.positions: dict[int, Position] = {d.id: d.pos for d in config.devices}
+        self.mobility_rng = substream(config.seed, "mobility")
+        self.cycles = self._draw_cycles()
+        self.energy_state = EnergyState.start({d.id: d.battery for d in config.devices})
+        self.assignment: ClusterAssignment | None = None
+        self.heads: dict[int, int] = {}  # cluster_id -> head device id
+        schema = config.data.schema
+        # shipped model size relative to the reference classifier; the
+        # heterogeneous scheme also ships its one-layer encoder
+        input_dim = schema.num_features
+        encoder = 0
+        if self.hetero:
+            input_dim = config.data.latent_dim
+            encoder = _classifier_params(config.data.subset_size, 0, input_dim)
+        reference = _classifier_params(input_dim, config.hidden_units, schema.num_classes)
+        self.payload = (reference + encoder) / reference
+        self.train_samples = config.data.partition.samples_per_device - _probe_rows(
+            config.data
+        )
+
+    def _draw_cycles(self) -> dict[int, float]:
+        """Each device's consumption-cycle coefficient, from [0.2, 0.35]."""
+        rng = substream(self.config.seed, "consumption-cycles")
+        return {
+            device.id: float(rng.uniform(0.2, 0.35))
+            for device in sorted(self.config.devices, key=lambda d: d.id)
+        }
+
+    # ------------------------------------------------------- connectivity
+
+    def _moved(self, device_id: int) -> DeviceNode:
+        return dataclasses.replace(self.nodes[device_id], pos=self.positions[device_id])
+
+    def _bs_delay(self, device_id: int) -> float:
+        return transmission_delay(
+            self.config.link,
+            self._moved(device_id),
+            BS_POSITION,
+            override_latency_s=self.nodes[device_id].bs_latency_s,
+        )
+
+    def _bs_distance(self, device_id: int) -> float:
+        return distance_m(self.positions[device_id], BS_POSITION)
+
+    def _energy_distance(self, geometric_m: float) -> float:
+        # Slower links keep the radio on longer, so transmission energy grows
+        # in proportion to the delay setting. Folding the ratio into the
+        # distance through the attenuation root keeps the power-law form.
+        if not geometric_m:  # nothing to stretch, even by an infinite ratio
+            return 0.0
+        ratio = self.config.link.delay_per_meter_s / REFERENCE_DELAY_PER_METER
+        try:
+            return geometric_m * ratio ** (1.0 / self.config.energy.attenuation)
+        except OverflowError:
+            return math.inf
+
+    def _move_mobiles(self) -> None:
+        limit = self.config.mobility_radius_m
+        for device in sorted(self.config.devices, key=lambda d: d.id):
+            if not device.mobile:
+                continue
+            pos = random_step(
+                self.positions[device.id], self.mobility_rng, self.config.max_step_m
+            )
+            # waypoints stay inside a patrol disc around the device's home
+            # position; an unbounded walk would let transmission distances
+            # (and thus the quadratic energy cost) grow without limit
+            home = device.pos
+            dx, dy = pos.x - home.x, pos.y - home.y
+            radius = math.hypot(dx, dy)
+            if radius > limit:
+                pos = Position(home.x + dx * limit / radius, home.y + dy * limit / radius)
+            self.positions[device.id] = pos
+
+    def _refresh_clusters(self) -> None:
+        alive = self.energy_state.alive()
+        delays = {d: self._bs_delay(d) for d in alive}
+        connectable = {d: can_connect(self.config.link, delays[d]) for d in alive}
+        self.heads = {}
+        if not any(connectable.values()):
+            # nobody alive reaches the base station: no cluster can form
+            self.assignment = None
+            return
+        max_range = (
+            self.config.link.max_transmission_time_s / self.config.link.delay_per_meter_s
+        )
+        self.assignment = form_clusters(
+            [self._moved(d) for d in alive],
+            [connectable[d] for d in alive],
+            self.config.cluster_policy,
+            max_member_distance_m=max_range,
+        )
+        for cluster in self.assignment.clusters:
+            if not cluster.participating:
+                continue
+            candidates = []
+            for m in cluster.member_ids:
+                others = [o for o in cluster.member_ids if o != m]
+                agg = sum(
+                    distance_m(self.positions[m], self.positions[o]) for o in others
+                )
+                candidates.append(
+                    HeadCandidateView(
+                        device_id=m,
+                        bs_connectable=connectable[m],
+                        aggregated_distance_m=agg,
+                        battery=self.energy_state.remaining(m),
+                        mobile=self.nodes[m].mobile,
+                        bs_latency_s=delays[m],
+                    )
+                )
+            self.heads[cluster.cluster_id] = select_head(candidates)
+
+    # ------------------------------------------------------------ rounds
+
+    def _schedule_direct(self) -> tuple[tuple, list, dict[int, float]]:
+        """CVFL: devices whose base-station delay clears the cutoff upload
+        straight to it; the rest still burn a transmission attempt."""
+        alive = self.energy_state.alive()
+        delays = {d: self._bs_delay(d) for d in alive}
+        participants = tuple(d for d in alive if can_connect(self.config.link, delays[d]))
+        links = []
+        costs: dict[int, float] = {}
+        for d in alive:
+            links.append((d, BS_NODE_ID, delays[d]))
+            distance = self._energy_distance(self._bs_distance(d))
+            if d in participants:
+                costs[d] = round_energy(
+                    self.config.energy,
+                    self.cycles[d],
+                    distance,
+                    self.payload,
+                    self.train_samples,
+                    self.config.local_epochs,
+                )
+            else:
+                # out of reach: the upload attempt still burns transmit power
+                costs[d] = round_energy(self.config.energy, self.cycles[d], distance, 1.0, 0, 0)
+        groups = ((None, participants),) if participants else ()
+        return groups, links, costs
+
+    def _schedule_clustered(self, round_index: int) -> tuple[tuple, list, dict[int, float]]:
+        """DBFL: members upload to their cluster head, heads relay to the
+        base station; clusters whose head has died sit the round out."""
+        if (
+            self.assignment is None
+            or round_index % self.config.head_policy.reselect_interval_rounds == 0
+        ):
+            self._refresh_clusters()
+        if self.assignment is None:
+            return (), [], {}
+        alive = set(self.energy_state.alive())
+        groups = []
+        links = []
+        costs: dict[int, float] = {}
+        for cluster in self.assignment.clusters:
+            if not cluster.participating:
+                continue
+            head = self.heads[cluster.cluster_id]
+            members = tuple(sorted(m for m in cluster.member_ids if m in alive))
+            if head not in members:
+                continue
+            for m in members:
+                if m == head:
+                    # head: local training plus aggregation work plus relay to BS
+                    distance = self._bs_distance(m)
+                    epochs = self.config.local_epochs + HEAD_AGGREGATION_EPOCHS
+                    links.append((m, BS_NODE_ID, self._bs_delay(m)))
+                else:
+                    distance = distance_m(self.positions[m], self.positions[head])
+                    epochs = self.config.local_epochs
+                    delay = transmission_delay(
+                        self.config.link, self._moved(m), self.positions[head]
+                    )
+                    links.append((m, head, delay))
+                costs[m] = round_energy(
+                    self.config.energy,
+                    self.cycles[m],
+                    self._energy_distance(distance),
+                    self.payload,
+                    self.train_samples,
+                    epochs,
+                )
+                if round_index == 0 and self.hetero:
+                    # one-time autoencoder fit, charged as compute
+                    costs[m] += round_energy(
+                        self.config.energy, self.cycles[m], 0.0, 0.0,
+                        self.train_samples, self.config.data.ae_epochs,
+                    )
+            groups.append((head, members))
+        return tuple(groups), links, costs
+
+    def plan_round(self, round_index: int) -> _RoundPlan:
+        """Move the mobile devices, schedule the round and charge its energy."""
+        self._move_mobiles()
+        if self.config.kind is ScenarioKind.CVFL:
+            groups, links, costs = self._schedule_direct()
+        else:
+            groups, links, costs = self._schedule_clustered(round_index)
+        self.energy_state, charges = apply_round(self.energy_state, costs)
+        return _RoundPlan(
+            participants=tuple(sorted(m for _, members in groups for m in members)),
+            clusters=self.assignment,
+            head_ids=tuple(sorted(head for head, _ in groups if head is not None)),
+            groups=groups,
+            links=tuple(sorted(links)),
+            charges=charges,
+        )

@@ -86,5 +86,6 @@ def can_connect(link: LinkModel, delay_s: float) -> bool:
 def random_step(pos: Position, rng: np.random.Generator, max_step_m: float = 5.0) -> Position:
     """One mobility step: a uniformly random heading and a length up to ``max_step_m``."""
     angle = rng.uniform(0.0, 2.0 * math.pi)
-    length = rng.uniform(0.0, max_step_m)
+    # `or` turns a bound of -0.0, which numpy rejects, into 0.0
+    length = rng.uniform(0.0, max_step_m or 0.0)
     return Position(pos.x + length * math.cos(angle), pos.y + length * math.sin(angle))

@@ -27,6 +27,7 @@ from dfedsim.aggregation import (
 )
 from dfedsim.cli import run_cli
 from dfedsim.clustering import ClusterPolicy, form_clusters
+from dfedsim.config import ScenarioConfig, ScenarioKind
 from dfedsim.data import DataPlan, PartitionPlan
 from dfedsim.energy import EnergyParams, quantize, round_energy
 from dfedsim.head_selection import select_head
@@ -37,8 +38,6 @@ from dfedsim.ml_core import (
     train_classifier,
 )
 from dfedsim.scenarios import (
-    ScenarioConfig,
-    ScenarioKind,
     _Run,
     _build_dataset,
     _lockstep,

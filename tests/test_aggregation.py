@@ -8,7 +8,6 @@ from test_ml_core import check_probability_matrix
 from dfedsim.aggregation import (
     ADAPTIVE_GRID_STEP,
     ADAPTIVE_MAX_SWEEPS,
-    AggregationMethod,
     ModelArtifact,
     ProbeSet,
     _adaptive_weights,
@@ -22,6 +21,7 @@ from dfedsim.aggregation import (
     retrain_pooled,
     train_meta,
 )
+from dfedsim.config import AggregationMethod
 from dfedsim.errors import (
     DimensionMismatch,
     EmptyDataset,

@@ -5,6 +5,7 @@ whole module stays fast; stdout/stderr go through capsys.
 """
 
 import csv
+import dataclasses
 import json
 import os
 import resource
@@ -15,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from dfedsim import __version__
-from dfedsim.aggregation import AggregationMethod
 from dfedsim.cli import (
     DEFAULT_SWEEP,
     SUMMARY_HEADER,
@@ -25,8 +25,10 @@ from dfedsim.cli import (
     config_to_dict,
     run_cli,
 )
+from dfedsim.config import AggregationMethod, ScenarioConfig, ScenarioKind
 from dfedsim.data import DatasetSchema
-from dfedsim.scenarios import ScenarioConfig, ScenarioKind, run_scenario
+from dfedsim.errors import ConfigError
+from dfedsim.scenarios import run_scenario
 from dfedsim.topology import Position
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -202,6 +204,12 @@ def test_gen_data_output_feeds_a_run(tmp_path):
                     "--data", str(dataset), "--rounds", "1", "--out", str(out)])
     assert code == 0
     assert len(read_rows(out / "trace_dbfl_homogeneous.csv")) == 1
+    # the file holds the rows the run would generate itself
+    generated = tmp_path / "generated"
+    assert run_cli(["run", "--scenario", "dbfl_homogeneous", "--config", cfg,
+                    "--rounds", "1", "--out", str(generated)]) == 0
+    trace = "trace_dbfl_homogeneous.csv"
+    assert (out / trace).read_bytes() == (generated / trace).read_bytes()
 
 
 def test_gen_data_honours_an_explicit_sample_count(tmp_path):
@@ -329,6 +337,14 @@ MISTYPED = [
      "unknown key(s) under config.cluster_policy: require_bs_member"),
     ({"data": {"partition": {"devices": 5, "seed": 3}}},
      "unknown key(s) under config.data.partition: seed"),
+    # values of the right type that crashed a run: -1 is the base station's
+    # id, and the mobility clamp overflowed
+    ({"devices": [{"id": -1, "pos": {"x": 1.0, "y": 1.0}}]}, "device ids must be >= 0"),
+    ({"max_step_m": 1e155, "mobility_radius_m": 1e155},
+     "max_step_m and mobility_radius_m must be <= 1e150"),
+    # with a device near the float range in reach, cluster formation overflowed
+    ({"link": {"max_transmission_time_s": 1e308}},
+     "link range max_transmission_time_s / delay_per_meter_s must be <= 1e150 m"),
 ]
 
 
@@ -490,6 +506,21 @@ def test_config_round_trips_through_its_dict_form():
             assert config.data.schema == DatasetSchema(40, 4, label_column=0)
             assert config_to_dict(config) == data
             assert config_from_dict(config_to_dict(config)) == config
+
+
+def test_a_partial_nested_object_keeps_its_fields_default():
+    default = config_from_dict({"kind": "cvfl"}).data
+    expected = dataclasses.replace(
+        default, partition=dataclasses.replace(default.partition, samples_per_device=40)
+    )
+    for partition in ({"samples_per_device": 40}, {"devices": 5, "samples_per_device": 40}):
+        data = config_from_dict({"kind": "cvfl", "data": {"partition": partition}}).data
+        assert data == expected
+        assert data.partition.strategy == "coverage"
+    # the replaced object is checked like a new one
+    for data in ({"partition": {"samples_per_device": 0}}, {"subset_size": 10}):
+        with pytest.raises(ConfigError, match="config.data"):
+            config_from_dict({"kind": "cvfl", "data": data})
 
 
 def test_config_dict_spells_out_devices_and_enums():

@@ -20,8 +20,8 @@ from dfedsim.clustering import (
     ClusterPolicy,
     form_clusters,
 )
+from dfedsim.config import default_devices
 from dfedsim.errors import NoConnectableDevice
-from dfedsim.scenarios import default_devices
 from dfedsim.topology import DeviceNode, LinkModel, Position, can_connect, distance_m
 
 TOL = 1e-9

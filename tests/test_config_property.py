@@ -1,7 +1,8 @@
 """Config parsing under awkward numbers: `config_from_dict` either builds a
 `ScenarioConfig` or raises `ConfigError`, whatever numeric values a config
-file holds, and a config that builds with awkward energy and link numbers
-runs. Skipped where `hypothesis` is not installed."""
+file holds, a config that builds with awkward energy and link numbers
+runs, and one that builds with awkward network-side numbers plans and
+charges its rounds. Skipped where `hypothesis` is not installed."""
 
 import copy
 import dataclasses
@@ -13,8 +14,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dfedsim.cli import config_from_dict, config_to_dict  # noqa: E402
+from dfedsim.config import ScenarioConfig, ScenarioKind  # noqa: E402
 from dfedsim.errors import ConfigError  # noqa: E402
-from dfedsim.scenarios import ScenarioConfig, ScenarioKind, run_scenario  # noqa: E402
+from dfedsim.network import _Network  # noqa: E402
+from dfedsim.scenarios import run_scenario  # noqa: E402
 
 NAN, INF = float("nan"), float("inf")
 
@@ -46,6 +49,11 @@ SMALL_DICT = config_to_dict(config_from_dict({"kind": "cvfl", "rounds": 1, "data
 ENERGY_LINK_PATHS = [
     p for p in sorted(_numeric_paths(SMALL_DICT), key=repr) if p[0] in ("energy", "link")
 ]
+NETWORK_FIELDS = (
+    "devices", "link", "energy", "cluster_policy", "head_policy", "max_step_m",
+    "mobility_radius_m",
+)
+NETWORK_PATHS = [p for p in NUMERIC_PATHS if p[0] in NETWORK_FIELDS]
 
 
 def _edited(base, edits):
@@ -76,3 +84,17 @@ def test_energy_and_link_settings_that_build_finish_a_run(edits):
         return
     for kind in ScenarioKind:
         run_scenario(dataclasses.replace(base, kind=kind))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(NETWORK_PATHS), AWKWARD), min_size=1, max_size=3))
+def test_network_settings_that_build_plan_twelve_rounds(edits):
+    # the network plane needs no data, so every kind runs many rounds cheaply
+    try:
+        base = config_from_dict(_edited(DEFAULT_DICT, edits))
+    except ConfigError:
+        return
+    for kind in ScenarioKind:
+        network = _Network(dataclasses.replace(base, kind=kind))
+        for round_index in range(12):
+            network.plan_round(round_index)

@@ -17,10 +17,9 @@ import json
 
 import pytest
 
-from dfedsim.aggregation import AggregationMethod
 from dfedsim.cli import config_to_dict, run_cli
+from dfedsim.config import AggregationMethod, ScenarioConfig, ScenarioKind
 from dfedsim.data import DataPlan, PartitionPlan
-from dfedsim.scenarios import ScenarioConfig, ScenarioKind
 
 SMALL_PLAN = DataPlan(
     partition=PartitionPlan(devices=5, samples_per_device=150, strategy="coverage"),

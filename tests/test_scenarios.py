@@ -4,29 +4,28 @@ Uses a shrunken data plan so each test run finishes quickly; the
 full-size comparisons live in the acceptance suite.
 """
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dfedsim import aggregation, scenarios
-from dfedsim.aggregation import AggregationMethod, artifact_probabilities, closest_member
+from dfedsim.aggregation import artifact_probabilities, closest_member
+from dfedsim.config import AggregationMethod, ScenarioConfig, ScenarioKind, default_devices
 from dfedsim.data import DataPlan, PartitionPlan, _generate, write_csv
 from dfedsim.energy import EnergyParams, quantize
 from dfedsim.errors import ConfigError
 from dfedsim.head_selection import HeadPolicy
+from dfedsim.network import BS_NODE_ID, _Network
 from dfedsim.scenarios import (
-    BS_NODE_ID,
     RoundTrace,
-    ScenarioConfig,
-    ScenarioKind,
-    _Network,
     _Run,
     _build_dataset,
     _lockstep,
     compare_scenarios,
-    default_devices,
     delay_sweep,
     run_scenario,
     total_energy,
@@ -246,6 +245,62 @@ def test_mobile_devices_stay_near_home():
             assert dist == 0.0
 
 
+def package_imports(module):
+    """The sibling modules a module of the package imports by name."""
+    package = Path(scenarios.__file__).parent
+    tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1 and node.module:
+            yield node.module.split(".")[0]
+        elif node.level == 1:  # `from . import x`: a module, or the package itself
+            for alias in node.names:
+                found = (package / f"{alias.name}.py").is_file()
+                yield alias.name if found else "__init__"
+
+
+def test_the_network_plane_imports_no_learning_code():
+    # energy never reads a trained weight, so planning and charging a round
+    # must not reach the learning stack; the package __init__ imports
+    # everything, so this reads the source instead of sys.modules
+    reached, pending = set(), ["network"]
+    while pending:
+        module = pending.pop()
+        if module not in reached:
+            reached.add(module)
+            pending.extend(package_imports(module))
+    assert {"config", "energy", "clustering"} <= reached
+    assert not reached & {"ml_core", "aggregation", "scenarios", "__init__"}
+
+
+def diverging_devices():
+    """The default fleet with device 2 low on battery. As a DBFL head it
+    dies in round 1, as a CVFL uploader in round 2. Its DBFL cluster then
+    sits out until the refresh in round 5, so device 1 misses rounds 2-4
+    there, while CVFL trains it in every round."""
+    return tuple(
+        dataclasses.replace(d, battery=0.555) if d.id == 2 else d for d in default_devices()
+    )
+
+
+# settings that move the network plane: deaths, and slower links with a
+# cluster refresh every round
+NETWORK_CASES = {
+    "defaults": {},
+    "low-battery": {"devices": diverging_devices()},
+    "delay-0.003": {
+        "link": LinkModel(delay_per_meter_s=0.003),
+        "head_policy": HeadPolicy(reselect_interval_rounds=1),
+    },
+    "delay-0.01": {
+        "link": LinkModel(delay_per_meter_s=0.01),
+        "head_policy": HeadPolicy(reselect_interval_rounds=1),
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(NETWORK_CASES))
 @pytest.mark.parametrize(
     "field, a, b",
     [
@@ -256,11 +311,12 @@ def test_mobile_devices_stay_near_home():
     ids=["learning_rate", "aggregation"],
 )
 @pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
-def test_energy_does_not_depend_on_learning(kind, field, a, b):
+def test_energy_does_not_depend_on_learning(kind, field, a, b, case):
     # what the network plane schedules and charges must not move when only
     # the learning changes, and it must come out the same without any data
-    runs = [run_scenario(small_config(kind, **{field: value})) for value in (a, b)]
-    network = _Network(small_config(kind, **{field: a}))
+    extra = NETWORK_CASES[case]
+    runs = [run_scenario(small_config(kind, **{field: value}, **extra)) for value in (a, b)]
+    network = _Network(small_config(kind, **{field: a}, **extra))
     plans = [network.plan_round(r) for r in range(3)]
     assert [t.accuracy for t in runs[0]] != [t.accuracy for t in runs[1]]
     for ta, tb, plan in zip(*runs, plans):
@@ -270,6 +326,8 @@ def test_energy_does_not_depend_on_learning(kind, field, a, b):
             assert got.head_ids == ta.head_ids
         assert tb.link_delays == plan.links == ta.link_delays
         assert tb.energy_spent == plan.charges == ta.energy_spent
+        assert repr(plan.links) == repr(ta.link_delays)
+        assert repr(plan.charges) == repr(ta.energy_spent)
 
 
 def drained_devices():
@@ -308,6 +366,15 @@ def far_devices():
     )
 
 
+def remote_head_devices():
+    """The default fleet with device 2 at y = 1e308: it still reaches the
+    base station by its manual latency, and sits out of everyone's range."""
+    return tuple(
+        dataclasses.replace(d, pos=Position(d.pos.x, 1e308)) if d.id == 2 else d
+        for d in default_devices()
+    )
+
+
 def colocated_devices():
     """The default fleet with device 3 parked on device 0's spot."""
     home = default_devices()[0].pos
@@ -323,6 +390,8 @@ OVERFLOWING = {
     "attenuation": {"energy": EnergyParams(attenuation=1e308)},
     "delay": {"link": LinkModel(delay_per_meter_s=1e308)},
     "far-device": {"devices": far_devices()},
+    # the isolation penalty scaled the largest distance, in range or not
+    "remote-head": {"devices": remote_head_devices()},
     # the delay ratio's attenuation root, 2 ** 10000, overflows
     "delay-root": {
         "energy": EnergyParams(attenuation=1e-4),
@@ -399,16 +468,6 @@ def test_accuracy_climbs_on_an_easy_task():
 
 
 # ------------------------------------------------------- shared dataset
-
-
-def diverging_devices():
-    """The default fleet with device 2 low on battery. As a DBFL head it
-    dies in round 1, as a CVFL uploader in round 2. Its DBFL cluster then
-    sits out until the refresh in round 5, so device 1 misses rounds 2-4
-    there, while CVFL trains it in every round."""
-    return tuple(
-        dataclasses.replace(d, battery=0.555) if d.id == 2 else d for d in default_devices()
-    )
 
 
 def participation(config, device_id):

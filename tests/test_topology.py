@@ -110,6 +110,13 @@ def test_random_step_stays_within_radius():
         assert distance_m(origin, new) <= 5.0 + 1e-12
 
 
+def test_random_step_with_a_zero_bound_stays_put():
+    # a config file may spell the bound -0.0, which numpy rejects
+    for bound in (0.0, -0.0):
+        rng = np.random.default_rng(0)
+        assert random_step(Position(1.0, 2.0), rng, max_step_m=bound) == Position(1.0, 2.0)
+
+
 def test_random_step_deterministic():
     a = random_step(Position(0.0, 0.0), np.random.default_rng(42), max_step_m=5.0)
     b = random_step(Position(0.0, 0.0), np.random.default_rng(42), max_step_m=5.0)
