@@ -10,6 +10,8 @@ meta-learner, and pooled retraining.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,20 +158,18 @@ def closest_member(
     return members[best_idx]
 
 
-def _simplex_grid(m: int, step: float = ADAPTIVE_GRID_STEP):
-    """All weight vectors over m members on the step-resolution simplex."""
-    ticks = round(1.0 / step)
-
-    def rec(remaining: int, parts: int):
-        if parts == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in rec(remaining - first, parts - 1):
-                yield (first,) + rest
-
-    for combo in rec(ticks, m):
-        yield np.array(combo, dtype=np.float64) / ticks
+@functools.cache
+def _simplex_grid(m: int) -> np.ndarray:
+    """All weight vectors over m members on the step-resolution simplex, one
+    read-only row each, in lexicographic order. Stars and bars: each
+    combination of m - 1 bar slots among ticks + m - 1, taken in
+    lexicographic order, counts the ticks between consecutive bars."""
+    ticks = round(1.0 / ADAPTIVE_GRID_STEP)
+    bars = np.array(list(itertools.combinations(range(ticks + m - 1), m - 1)))
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, ticks + m - 1))
+    grid = (np.diff(edges, axis=1) - 1) / ticks
+    grid.flags.writeable = False
+    return grid
 
 
 def _class_sums(probs: np.ndarray, weight_matrix: np.ndarray) -> np.ndarray:
@@ -276,7 +276,7 @@ def _adaptive_weights(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     weights = np.full((num_classes, m), 1.0 / m)
     if m == 1:
         return weights
-    grid = np.array(list(_simplex_grid(m)))
+    grid = _simplex_grid(m)
     current = adaptive_accuracy(probs, weights, labels)
     sums = _class_sums(probs, weights)
     for _ in range(ADAPTIVE_MAX_SWEEPS):

@@ -28,6 +28,8 @@ import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .config import ScenarioConfig, ScenarioKind
 from .data import _generate, write_csv
 from .errors import (
@@ -414,7 +416,10 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        # a diverging run reports itself once, as TrainingDiverged, and not
+        # also through numpy's overflow warnings on the way there
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"dfedsim: config: {exc}", file=sys.stderr)
         return 1

@@ -304,7 +304,7 @@ def partition(
         raise ValueError("features and labels must have the same length")
     total = plan.devices * plan.samples_per_device
     rng = substream(seed, "partition")
-    out: list[DevicePartition] = []
+    rows: list[np.ndarray] = []
     if plan.strategy == "coverage":
         angles = principal_plane_angles(x)
         width = np.pi
@@ -334,27 +334,34 @@ def partition(
                 chosen[best].append(i)
                 quota[best] -= 1
         for d in range(plan.devices):
-            replace = quota[d] > 0
-            if replace:
+            if quota[d] > 0:
                 arc_rows = np.flatnonzero(in_arc[d])
                 if arc_rows.shape[0] == 0:
                     arc_rows = np.arange(x.shape[0])
-                extra = arc_rows[rng.integers(0, arc_rows.shape[0], size=quota[d])]
-                idx = np.array(chosen[d] + extra.tolist(), dtype=np.int64)
-            else:
-                idx = np.array(chosen[d], dtype=np.int64)
-            out.append(DevicePartition(x[idx], y[idx], bool(replace)))
-        return out
-    if total <= x.shape[0]:
+                chosen[d] += arc_rows[rng.integers(0, arc_rows.shape[0], size=quota[d])].tolist()
+            rows.append(np.array(chosen[d], dtype=np.int64))
+        replaced = [q > 0 for q in quota]
+    elif total <= x.shape[0]:
         order = rng.permutation(x.shape[0])
-        for d in range(plan.devices):
-            idx = order[d * plan.samples_per_device : (d + 1) * plan.samples_per_device]
-            out.append(DevicePartition(x[idx], y[idx], False))
+        rows = [
+            order[d * plan.samples_per_device : (d + 1) * plan.samples_per_device]
+            for d in range(plan.devices)
+        ]
+        replaced = [False] * plan.devices
     else:
-        for d in range(plan.devices):
-            idx = rng.integers(0, x.shape[0], size=plan.samples_per_device)
-            out.append(DevicePartition(x[idx], y[idx], True))
-    return out
+        rows = [
+            rng.integers(0, x.shape[0], size=plan.samples_per_device)
+            for _ in range(plan.devices)
+        ]
+        replaced = [True] * plan.devices
+    # One gather for all devices, so the partitions are views of one block.
+    # Per-device copies fall under malloc's adaptive mmap threshold once a
+    # first set has been freed and land on the heap, where one small block
+    # allocated above them kept them resident after the run freed them.
+    idx = np.concatenate(rows)
+    xs = np.split(x[idx], plan.devices)
+    ys = np.split(y[idx], plan.devices)
+    return [DevicePartition(a, b, r) for a, b, r in zip(xs, ys, replaced)]
 
 
 def select_features(
@@ -405,6 +412,13 @@ class DataPlan:
     def __post_init__(self):
         if self.task not in ("blobs", "sectors"):
             raise ValueError(f"unknown task {self.task!r}")
+        if self.schema.num_classes < 2:
+            raise ValueError("a classifier needs num_classes >= 2")
+        if self.partition.strategy == "coverage" and self.schema.num_features < 2:
+            # devices draw arcs of the top-2 principal plane
+            raise ValueError("the coverage partition needs num_features >= 2")
+        if self.task == "sectors" and self.latent_factors < 2:
+            raise ValueError("the sectors task needs latent_factors >= 2")
         if self.sectors < self.schema.num_classes:
             raise ValueError("sectors must be >= num_classes")
         if not 0 < self.subset_size <= self.schema.num_features:
@@ -417,8 +431,16 @@ class DataPlan:
             raise ValueError("latent_factors and test_samples must be >= 1")
         if not 0.0 < self.probe_fraction < 1.0:
             raise ValueError("probe_fraction must lie strictly between 0 and 1")
+        if self.probe_rows >= self.partition.samples_per_device:
+            raise ValueError("the probe split leaves a device no training row")
         if self.ae_epochs < 0 or self.ae_learning_rate <= 0:
             raise ValueError("bad autoencoder training settings")
+
+    @property
+    def probe_rows(self) -> int:
+        """Rows each device holds out as its probe; partition hands every
+        device exactly samples_per_device rows."""
+        return max(1, int(round(self.probe_fraction * self.partition.samples_per_device)))
 
 
 def _generate(plan: DataPlan, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,10 @@ class NoEligibleHead(SimulationError):
     """No cluster member is capable of direct base-station communication."""
 
 
+class TrainingDiverged(SimulationError):
+    """Training drove a network parameter past the float range."""
+
+
 class DimensionMismatch(SimulationError):
     """Array shapes do not chain through the requested operation."""
 

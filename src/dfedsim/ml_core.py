@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .errors import DimensionMismatch, EmptyDataset
+from .errors import DimensionMismatch, EmptyDataset, TrainingDiverged
 from .rngs import substream
 
 ACTIVATIONS = ("linear", "relu", "sigmoid")
@@ -489,15 +489,18 @@ def train_classifier(
                 raise DimensionMismatch("init network does not match the config dimensions")
             nets.append(_unfold_input_transform(net, mean, std))
 
-    trained = _sgd(
-        nets, xs, scales, ys,
-        config.epochs, config.learning_rate, config.batch_size,
-        [cfg.seed for cfg in configs], "classifier-shuffle",
-    )
-    folded = [
-        _read_only(_fold_input_transform(net, mean, std))
-        for net, (mean, std) in zip(trained, scales)
-    ]
+    try:
+        trained = _sgd(
+            nets, xs, scales, ys,
+            config.epochs, config.learning_rate, config.batch_size,
+            [cfg.seed for cfg in configs], "classifier-shuffle",
+        )
+        folded = [
+            _read_only(_fold_input_transform(net, mean, std))
+            for net, (mean, std) in zip(trained, scales)
+        ]
+    except ValueError as exc:  # DenseNetwork rejects a non-finite parameter
+        raise TrainingDiverged(f"training diverged: {exc}") from exc
     return folded[0] if single else folded
 
 
@@ -538,19 +541,21 @@ def train_autoencoder(
         )
         for cfg in configs
     ]
-    trained = _sgd(
-        nets, xs, scales, None,
-        config.epochs, config.learning_rate, AUTOENCODER_BATCH_SIZE,
-        [cfg.seed for cfg in configs], "autoencoder-shuffle",
-    )
-
     pairs = []
-    for net, (mean, std) in zip(trained, scales):
-        enc_layer, dec_layer = net.layers
-        encoder = _fold_input_transform(DenseNetwork([enc_layer]), mean, std)
-        # Un-standardize the decoder output: x_raw = std * x_std + mean.
-        dec_w = dec_layer.weights * std[:, np.newaxis]
-        dec_b = dec_layer.bias * std + mean
-        decoder = DenseNetwork([Layer(dec_w, dec_b, "linear")])
-        pairs.append((_read_only(encoder), _read_only(decoder)))
+    try:
+        trained = _sgd(
+            nets, xs, scales, None,
+            config.epochs, config.learning_rate, AUTOENCODER_BATCH_SIZE,
+            [cfg.seed for cfg in configs], "autoencoder-shuffle",
+        )
+        for net, (mean, std) in zip(trained, scales):
+            enc_layer, dec_layer = net.layers
+            encoder = _fold_input_transform(DenseNetwork([enc_layer]), mean, std)
+            # Un-standardize the decoder output: x_raw = std * x_std + mean.
+            dec_w = dec_layer.weights * std[:, np.newaxis]
+            dec_b = dec_layer.bias * std + mean
+            decoder = DenseNetwork([Layer(dec_w, dec_b, "linear")])
+            pairs.append((_read_only(encoder), _read_only(decoder)))
+    except ValueError as exc:  # DenseNetwork rejects a non-finite parameter
+        raise TrainingDiverged(f"training diverged: {exc}") from exc
     return pairs[0] if single else pairs

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .clustering import ClusterAssignment, form_clusters
 from .config import ScenarioConfig, ScenarioKind
-from .data import DataPlan
 from .energy import EnergyState, apply_round, round_energy
 from .head_selection import HeadCandidateView, select_head
 from .rngs import substream
@@ -45,11 +44,6 @@ def _classifier_params(input_dim: int, hidden: int, classes: int) -> int:
     if hidden > 0:
         return hidden * (input_dim + 1) + classes * (hidden + 1)
     return classes * (input_dim + 1)
-
-
-def _probe_rows(plan: DataPlan) -> int:
-    # partition hands every device exactly samples_per_device rows
-    return max(1, int(round(plan.probe_fraction * plan.partition.samples_per_device)))
 
 
 @dataclass(frozen=True)
@@ -91,9 +85,7 @@ class _Network:
             encoder = _classifier_params(config.data.subset_size, 0, input_dim)
         reference = _classifier_params(input_dim, config.hidden_units, schema.num_classes)
         self.payload = (reference + encoder) / reference
-        self.train_samples = config.data.partition.samples_per_device - _probe_rows(
-            config.data
-        )
+        self.train_samples = config.data.partition.samples_per_device - config.data.probe_rows
 
     def _draw_cycles(self) -> dict[int, float]:
         """Each device's consumption-cycle coefficient, from [0.2, 0.35]."""

@@ -9,7 +9,11 @@ groups aggregate where.
 The learning plane (``_Run._learn``) consumes the plan the same way for
 all three schemes: every participant trains its one local network, each
 group with a head aggregates there, the base station aggregates what
-reaches it, and the result is scored on the held-out test split. The
+reaches it, and the result is scored on the held-out test split. Each
+level is scored as it is built (``_Run._aggregate``). Under retraining
+the base station instead fits one classifier on every participant's
+pooled rows, and no head or device trains, since nothing would read their
+models; the network plane charges the round as for any method. The
 conventional variant (CVFL) has one group without a head: only devices
 whose base-station delay clears the cutoff take part, and the devices
 shut out of the round still burn transmission attempts toward the
@@ -77,7 +81,7 @@ from .ml_core import (
     train_autoencoder,
     train_classifier,
 )
-from .network import BS_NODE_ID, _Network, _probe_rows, _RoundPlan
+from .network import BS_NODE_ID, _Network, _RoundPlan
 from .rngs import substream
 
 
@@ -105,40 +109,6 @@ def _derive_seed(seed: int, *key) -> int:
 def _seed_node_key(node_id: int) -> int | str:
     # substream keys must be non-negative, and the base station's id is -1
     return "base-station" if node_id == BS_NODE_ID else node_id
-
-
-@dataclass
-class _ProbModel:
-    """One node of the aggregation tree.
-
-    ``artifact`` is the concrete model a node relays onward, or None where
-    no level above reads one. A device's leaf carries its trained model, a
-    meta or retrain node the model it trained, and an adaptive head the
-    member closest to its average, which the base station scores on its
-    probe. Weighted nodes and the adaptive base station carry None.
-    Calling ``probabilities`` evaluates what the aggregation at this node
-    actually computes: for averaging methods the combination of all
-    children, not a relayed artifact, and for a meta node its stacker on
-    its children's probabilities, so every leaf goes through ``score``.
-    """
-
-    artifact: ModelArtifact | None
-    children: list["_ProbModel"] | None = None
-    method: AggregationMethod | None = None
-    weights: np.ndarray | None = None
-
-    def probabilities(self, score: Callable[[ModelArtifact], np.ndarray]) -> np.ndarray:
-        """The node's class probabilities, given ``score``: artifact ->
-        that artifact's probabilities on the rows being evaluated."""
-        if not self.children:
-            return score(self.artifact)
-        probs = [c.probabilities(score) for c in self.children]
-        if self.method is AggregationMethod.META_LEARNING:
-            return predict_proba(self.artifact.network, np.hstack(probs))
-        stacked = np.stack(probs)
-        if self.method is AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING:
-            return adaptive_average(stacked, self.weights)
-        return stacked.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -211,7 +181,7 @@ def _build_dataset(config: ScenarioConfig) -> _Dataset:
     for array in arrays:
         # before any view is taken: a view keeps the flag its base had then
         array.flags.writeable = False
-    probe = _probe_rows(plan)
+    probe = plan.probe_rows
     rows = tuple(
         _DeviceRows(p.features[probe:], p.labels[probe:], p.features[:probe], p.labels[:probe])
         for p in parts
@@ -288,9 +258,8 @@ class _Run:
 
     # ---------------------------------------------------------- training
 
-    def _classifier_config(
-        self, rows: _DeviceRows, device_id: int, round_index: int
-    ) -> ClassifierConfig:
+    def _classifier_config(self, rows: _DeviceRows, *seed_key) -> ClassifierConfig:
+        """The run's classifier on these rows, seeded by the keyed substream."""
         return ClassifierConfig(
             input_dim=rows.train_x.shape[1],
             hidden_units=self.config.hidden_units,
@@ -298,7 +267,7 @@ class _Run:
             learning_rate=self.config.learning_rate,
             epochs=self.config.local_epochs,
             batch_size=self.config.batch_size,
-            seed=_derive_seed(self.config.seed, "train", device_id, round_index),
+            seed=_derive_seed(self.config.seed, *seed_key),
         )
 
     def _probe_union(self, device_ids: tuple[int, ...]) -> ProbeSet:
@@ -308,44 +277,29 @@ class _Run:
 
     def _aggregate(
         self,
-        models: list["_ProbModel"],
+        nodes: list[tuple[ModelArtifact | None, np.ndarray]],
         source_id: int,
         round_index: int,
         member_ids: tuple[int, ...],
-    ) -> "_ProbModel":
-        """Aggregate one level; the result carries the probability model the
-        level computes and, where a level above reads one, the artifact it
-        relays (see `_ProbModel`)."""
+    ) -> tuple[ModelArtifact | None, np.ndarray]:
+        """Aggregate one level of (relayed artifact, test probabilities)
+        pairs into this node's pair: the model it relays, None where no
+        level above reads one, and what it computes on the test split."""
         method = self.config.aggregation
+        probs = [p for _, p in nodes]
         if method is AggregationMethod.WEIGHTED_AVERAGING:
-            return _ProbModel(None, children=models, method=method)
-        if method is AggregationMethod.RETRAINING:
-            pooled = [
-                (self.devices[d].rows.train_x, self.devices[d].rows.train_y)
-                for d in sorted(member_ids)
-            ]
-            cfg = ClassifierConfig(
-                input_dim=self.schema.num_features,
-                hidden_units=self.config.hidden_units,
-                num_classes=self.num_classes,
-                learning_rate=self.config.learning_rate,
-                epochs=self.config.local_epochs,
-                batch_size=self.config.batch_size,
-                seed=_derive_seed(
-                    self.config.seed, "retrain", _seed_node_key(source_id), round_index
-                ),
-            )
-            return _ProbModel(retrain_pooled(pooled, cfg, source_id=source_id), method=method)
-        artifacts = [m.artifact for m in models]
+            return None, np.stack(probs).mean(axis=0)
+        artifacts = [a for a, _ in nodes]
         probe = self._probe_union(member_ids)
         if method is AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING:
-            probs = member_probabilities(artifacts, probe)
-            weights = _adaptive_weights(probs, probe.labels)
+            on_probe = member_probabilities(artifacts, probe)
+            weights = _adaptive_weights(on_probe, probe.labels)
             selected = None
             if source_id != BS_NODE_ID:
                 # no level reads what the base station would relay
-                selected = closest_member(artifacts, probs, adaptive_average(probs, weights))
-            return _ProbModel(selected, children=models, method=method, weights=weights)
+                average = adaptive_average(on_probe, weights)
+                selected = closest_member(artifacts, on_probe, average)
+            return selected, adaptive_average(np.stack(probs), weights)
         if method is AggregationMethod.META_LEARNING:
             cfg = ClassifierConfig(
                 input_dim=1,  # replaced inside train_meta
@@ -357,12 +311,17 @@ class _Run:
                     self.config.seed, "meta", _seed_node_key(source_id), round_index
                 ),
             )
-            return _ProbModel(
-                train_meta(artifacts, probe, cfg, source_id=source_id),
-                children=models,
-                method=method,
-            )
+            meta = train_meta(artifacts, probe, cfg, source_id=source_id)
+            return meta, predict_proba(meta.network, np.hstack(probs))
         raise ConfigError(f"unsupported aggregation method {method}")
+
+    def _retrain(self, participants: tuple[int, ...], round_index: int) -> ModelArtifact:
+        """The base station's model under retraining: one classifier fitted
+        on every participant's pooled training rows."""
+        rows = [self.devices[d].rows for d in sorted(participants)]
+        cfg = self._classifier_config(rows[0], "retrain", _seed_node_key(BS_NODE_ID), round_index)
+        pooled = [(r.train_x, r.train_y) for r in rows]
+        return retrain_pooled(pooled, cfg, source_id=BS_NODE_ID)
 
     # ------------------------------------------------------------ rounds
 
@@ -374,18 +333,22 @@ class _Run:
         score: Callable[[ModelArtifact], np.ndarray],
     ) -> float:
         """Aggregate each headed group's trained models at its head and the
-        result at the base station; returns the test accuracy, with
-        ``score`` giving an artifact's probabilities on the test split."""
+        result at the base station, or retrain there; returns the test
+        accuracy, with ``score`` giving an artifact's probabilities on the
+        test split."""
         if not plan.groups:
             return 0.0
-        level: list[_ProbModel] = []
-        for head, members in plan.groups:
-            models = [_ProbModel(trained[m]) for m in members]
-            if head is not None:
-                models = [self._aggregate(models, head, round_index, members)]
-            level.extend(models)
-        global_model = self._aggregate(level, BS_NODE_ID, round_index, plan.participants)
-        probs = global_model.probabilities(score)
+        if self.config.aggregation is AggregationMethod.RETRAINING:
+            probs = score(self._retrain(plan.participants, round_index))
+        else:
+            level = []
+            for head, members in plan.groups:
+                leaves = [(trained[m], score(trained[m])) for m in members]
+                if head is None:
+                    level.extend(leaves)
+                else:
+                    level.append(self._aggregate(leaves, head, round_index, members))
+            _, probs = self._aggregate(level, BS_NODE_ID, round_index, plan.participants)
         return float(np.mean(probs.argmax(axis=1) == self.dataset.test_y))
 
 
@@ -397,7 +360,7 @@ def _train_round(
     runs: list[_Run], plans: list[_RoundPlan], round_index: int
 ) -> list[dict[int, ModelArtifact]]:
     """Train every run's participants, each distinct request once; returns
-    each run's trained artifacts by device id.
+    each run's trained artifacts by device id (none for a retraining run).
 
     A request is (device id, classifier config, start network, training
     rows), with the network and rows matched by identity. Every object a
@@ -410,9 +373,13 @@ def _train_round(
     asked = []
     for run, plan in zip(runs, plans):
         keys = []
+        if run.config.aggregation is AggregationMethod.RETRAINING:
+            # the base station retrains from the rows and reads no local network
+            asked.append(keys)
+            continue
         for d in plan.participants:
             runtime = run.devices[d]
-            config = run._classifier_config(runtime.rows, d, round_index)
+            config = run._classifier_config(runtime.rows, "train", d, round_index)
             key = (d, config, id(runtime.local_net), id(runtime.rows))
             requests.setdefault(key, (run, runtime, config))
             keys.append((runtime, key))

@@ -1,5 +1,7 @@
 """Aggregation methods: averaging, adaptive weights, stacking, retraining."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,35 @@ def test_adaptive_matches_exhaustive_grid_for_two_members():
             if not improved:
                 break
         assert achieved == current, f"trial {trial}"
+
+
+def _recursive_simplex_grid(m):
+    """The recursive generator the grid was once built by, one weight
+    vector at a time: the oracle for its rows and their order."""
+    ticks = round(1.0 / ADAPTIVE_GRID_STEP)
+
+    def rec(remaining, parts):
+        if parts == 1:
+            yield (remaining,)
+            return
+        for first in range(remaining + 1):
+            for rest in rec(remaining - first, parts - 1):
+                yield (first,) + rest
+
+    for combo in rec(ticks, m):
+        yield np.array(combo, dtype=np.float64) / ticks
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_simplex_grid_equals_the_recursive_generator(m):
+    grid = _simplex_grid(m)
+    expected = np.array(list(_recursive_simplex_grid(m)))
+    assert grid.dtype == np.float64
+    assert grid.shape == expected.shape == (math.comb(19 + m, m - 1), m)
+    assert grid.tobytes() == expected.tobytes()
+    # built once per member count, and shared read-only
+    assert _simplex_grid(m) is grid
+    assert not grid.flags.writeable
 
 
 def _per_row_adaptive_weights(probs, labels):

@@ -345,6 +345,17 @@ MISTYPED = [
     # with a device near the float range in reach, cluster formation overflowed
     ({"link": {"max_transmission_time_s": 1e308}},
      "link range max_transmission_time_s / delay_per_meter_s must be <= 1e150 m"),
+    # data plans whose run stopped at its first round: no training row left
+    # after the probe split, a principal plane of one feature, one class, and
+    # a sectors ring without its second latent coordinate
+    ({"data": {"partition": {"samples_per_device": 1}}},
+     "the probe split leaves a device no training row"),
+    ({"data": {"partition": {"samples_per_device": 40}, "probe_fraction": 0.999}},
+     "the probe split leaves a device no training row"),
+    ({"data": {"schema": {"num_features": 1}, "subset_size": 1, "latent_dim": 1}},
+     "the coverage partition needs num_features >= 2"),
+    ({"data": {"schema": {"num_classes": 1}}}, "a classifier needs num_classes >= 2"),
+    ({"data": {"latent_factors": 1}}, "the sectors task needs latent_factors >= 2"),
 ]
 
 
@@ -390,6 +401,32 @@ BLOBS_40 = {
     "partition": {"devices": 5, "samples_per_device": 40, "strategy": "coverage"},
     "test_samples": 40,
 }
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [
+        ("cvfl", {"learning_rate": 1e308}),
+        ("dbfl_heterogeneous", {"data": {**BLOBS_40, "ae_learning_rate": 1e308}}),
+        ("cvfl", {"data": {**BLOBS_40, "spread": 1e308}}),
+        ("cvfl", {"data": {**BLOBS_40, "center_scale": 1e308}}),
+    ],
+)
+def test_diverging_training_exits_three_with_one_line(tmp_path, capsys, recwarn, kind, extra):
+    # validate accepts each, and round 0 trains a network past the float range
+    cfg = tmp_path / "config.json"
+    config = {"kind": kind, "rounds": 1, "data": {**BLOBS_40, "ae_epochs": 1}, **extra}
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli(["validate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("dfedsim: runtime: training diverged:")
+    # numpy's overflow warnings on the way there would print more lines
+    assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
 
 
 def _cap_address_space():

@@ -1,8 +1,10 @@
 """Config parsing under awkward numbers: `config_from_dict` either builds a
 `ScenarioConfig` or raises `ConfigError`, whatever numeric values a config
 file holds, a config that builds with awkward energy and link numbers
-runs, and one that builds with awkward network-side numbers plans and
-charges its rounds. Skipped where `hypothesis` is not installed."""
+runs, one that builds with awkward network-side numbers plans and
+charges its rounds, and one that builds with awkward learning-side numbers
+runs a round under every aggregation method or stops with
+`TrainingDiverged`. Skipped where `hypothesis` is not installed."""
 
 import copy
 import dataclasses
@@ -14,8 +16,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dfedsim.cli import config_from_dict, config_to_dict  # noqa: E402
-from dfedsim.config import ScenarioConfig, ScenarioKind  # noqa: E402
-from dfedsim.errors import ConfigError  # noqa: E402
+from dfedsim.config import AggregationMethod, ScenarioConfig, ScenarioKind  # noqa: E402
+from dfedsim.errors import ConfigError, TrainingDiverged  # noqa: E402
 from dfedsim.network import _Network  # noqa: E402
 from dfedsim.scenarios import run_scenario  # noqa: E402
 
@@ -54,6 +56,12 @@ NETWORK_FIELDS = (
     "mobility_radius_m",
 )
 NETWORK_PATHS = [p for p in NUMERIC_PATHS if p[0] in NETWORK_FIELDS]
+LEARNING_FIELDS = ("hidden_units", "local_epochs", "batch_size", "learning_rate", "data")
+LEARNING_PATHS = [
+    p for p in sorted(_numeric_paths(SMALL_DICT), key=repr) if p[0] in LEARNING_FIELDS
+]
+# one and two are the smallest sizes, 0.999 the largest probe fraction
+LEARNING_VALUES = AWKWARD | st.sampled_from([1, 2, 0.999])
 
 
 def _edited(base, edits):
@@ -98,3 +106,24 @@ def test_network_settings_that_build_plan_twelve_rounds(edits):
         network = _Network(dataclasses.replace(base, kind=kind))
         for round_index in range(12):
             network.plan_round(round_index)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(LEARNING_PATHS), LEARNING_VALUES), min_size=1, max_size=3),
+    st.sampled_from(AggregationMethod),
+)
+def test_learning_settings_that_build_run_a_round_or_diverge(edits, method):
+    try:
+        base = config_from_dict({**_edited(SMALL_DICT, edits), "aggregation": method.value})
+    except ConfigError:
+        return
+    for kind in ScenarioKind:
+        try:
+            config = dataclasses.replace(base, kind=kind)
+        except ConfigError:
+            continue  # retrain does not aggregate dbfl_heterogeneous
+        try:
+            run_scenario(config)
+        except TrainingDiverged:
+            pass

@@ -601,6 +601,29 @@ def test_adaptive_base_station_picks_no_relay_member(monkeypatch):
     assert len(picked) == heads
 
 
+def test_retrain_fits_one_pooled_model_per_round_and_trains_no_device(monkeypatch):
+    # the base station pools every participant's rows and reads no level
+    # below it, so no head retrains and no device trains a local network
+    pooled = []
+
+    def retrain(member_data, config, source_id=-1):
+        pooled.append((source_id, len(member_data)))
+        return aggregation.retrain_pooled(member_data, config, source_id=source_id)
+
+    trained = []
+    monkeypatch.setattr(scenarios, "retrain_pooled", retrain)
+    monkeypatch.setattr(
+        scenarios, "train_classifier", recording(trained, scenarios.train_classifier)
+    )
+    config = small_config(
+        ScenarioKind.DBFL_HOMOGENEOUS, rounds=2, aggregation=AggregationMethod.RETRAINING
+    )
+    traces = run_scenario(config)
+    assert all(trace.head_ids for trace in traces)
+    assert pooled == [(BS_NODE_ID, len(trace.participants)) for trace in traces]
+    assert trained == []
+
+
 def test_compare_scenarios_on_a_csv_dataset_equals_one_run_per_kind(tmp_path):
     features, labels = _generate(SMALL_PLAN, 5 * 150 + 300, seed=5)
     path = tmp_path / "data.csv"
