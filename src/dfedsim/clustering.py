@@ -19,10 +19,10 @@ ties and fall through to the next level.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, NoConnectableDevice
 from .topology import DeviceNode, distance_m
@@ -125,6 +125,67 @@ def _lex_fix(
     return fixed
 
 
+def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], list[int]]:
+    """Exact minimum-cost assignment of each row of ``cost`` to its own column.
+
+    The shortest-augmenting-path form of the Hungarian method: rows join
+    one at a time, each along a cheapest path in reduced costs, so the
+    partial assignment stays optimal throughout. An ``inf`` entry forbids
+    its pair. Returns (rows, columns), rows ascending. Raises ValueError
+    when no assignment of every row avoids the forbidden pairs, as when
+    rows outnumber columns.
+    """
+    n, m = cost.shape
+    a = cost.tolist()
+    inf = math.inf
+    u = [0.0] * n  # row potentials
+    v = [0.0] * m  # column potentials
+    col_of = [-1] * n
+    row_of = [-1] * m
+    for start in range(n):
+        # Dijkstra from the joining row over reduced costs, until it
+        # reaches a column no row holds yet
+        reach = [inf] * m  # cheapest path cost to each column so far
+        via = [-1] * m  # the row a column's cheapest path arrives from
+        free = list(range(m))
+        rows_seen = []
+        cols_seen = []
+        i, dist = start, 0.0
+        while True:
+            rows_seen.append(i)
+            row, base = a[i], dist - u[i]
+            best, k = inf, -1
+            for idx, j in enumerate(free):
+                d = base + row[j] - v[j]
+                if d < reach[j]:
+                    reach[j] = d
+                    via[j] = i
+                # on a tie prefer a column no row holds: the path ends there
+                if reach[j] < best or (reach[j] == best and row_of[j] < 0):
+                    best, k = reach[j], idx
+            if best == inf:
+                raise ValueError("cost matrix is infeasible")
+            dist = best
+            j = free.pop(k)
+            cols_seen.append(j)
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        # keep reduced costs non-negative and zero along matched pairs
+        u[start] += dist
+        for r in rows_seen[1:]:
+            u[r] += dist - reach[col_of[r]]
+        for c in cols_seen:
+            v[c] -= dist - reach[c]
+        while True:  # flip the path: each row on it takes the next column
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return list(range(n)), col_of
+
+
 def _solve_seed_set_with_capacity(
     seed_ids: tuple[int, ...],
     rest: list[int],
@@ -195,40 +256,42 @@ def _solve_fleet(
                 max_member_distance_m is None or d <= max_member_distance_m
             )
 
-    best: tuple[int, int, float, tuple[int, ...]] | None = None
-    best_anchors: dict[int, int] = {}
+    def canonical(candidate: tuple[int, int, float, tuple[int, ...], list[int]]):
+        iso, _, total, seed_ids, rest = candidate
+        anchors = _lex_fix(seed_ids, rest, dist, in_range, max_size, iso, total)
+        for s in seed_ids:
+            anchors[s] = s
+        return tuple(anchors[d] for d in ids)
+
+    # the best seed set so far, and its canonical encoding once a tie needs it
+    best: tuple[int, int, float, tuple[int, ...], list[int]] | None = None
+    best_encoding: tuple[int, ...] | None = None
     for k in range(1, len(seeds_avail) + 1):
+        if best is not None and best[0] == 0:
+            break  # nothing isolates fewer than none, and k only grows
         for seed_ids in itertools.combinations(seeds_avail, k):
             rest = [d for d in ids if d not in seed_ids]
-            iso, total, anchors = _solve_seed_set_with_capacity(
+            iso, total, _ = _solve_seed_set_with_capacity(
                 seed_ids, rest, dist, in_range, {s: max_size - 1 for s in seed_ids}
             )
-            if best is not None:
-                b_iso, b_k, b_total, _ = best
-                if (iso, k) > (b_iso, b_k):
-                    continue
-                if (iso, k) == (b_iso, b_k) and total > b_total and not _dist_tie(total, b_total):
-                    continue
-            anchors = _lex_fix(seed_ids, rest, dist, in_range, max_size, iso, total)
-            full = dict(anchors)
-            for s in seed_ids:
-                full[s] = s
-            encoding = tuple(full[d] for d in ids)
-            candidate = (iso, k, total, encoding)
-            if best is None or _objective_less(candidate, best):
-                best = candidate
-                best_anchors = full
-    return best_anchors
-
-
-def _objective_less(a: tuple, b: tuple) -> bool:
-    a_iso, a_k, a_total, a_enc = a
-    b_iso, b_k, b_total, b_enc = b
-    if (a_iso, a_k) != (b_iso, b_k):
-        return (a_iso, a_k) < (b_iso, b_k)
-    if not _dist_tie(a_total, b_total):
-        return a_total < b_total
-    return a_enc < b_enc
+            candidate = (iso, k, total, seed_ids, rest)
+            if best is None or (iso, k) < best[:2]:
+                best, best_encoding = candidate, None
+                continue
+            if (iso, k) > best[:2]:
+                continue
+            if not _dist_tie(total, best[2]):
+                if total < best[2]:
+                    best, best_encoding = candidate, None
+                continue
+            if best_encoding is None:
+                best_encoding = canonical(best)
+            encoding = canonical(candidate)
+            if encoding < best_encoding:
+                best, best_encoding = candidate, encoding
+    if best_encoding is None:
+        best_encoding = canonical(best)
+    return dict(zip(ids, best_encoding))
 
 
 def form_clusters(

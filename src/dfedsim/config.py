@@ -20,6 +20,13 @@ from .head_selection import HeadPolicy
 from .topology import DeviceNode, LinkModel, Position
 
 
+# Adaptive aggregation searches a simplex grid of C(19 + m, m - 1) weight
+# rows for a level of m members, and one level can hold every device (the
+# CVFL base station averages all participants): 53,130 rows at m = 6, and
+# 230,230 at m = 7, where one search takes seconds.
+MAX_ADAPTIVE_DEVICES = 6
+
+
 class ScenarioKind(Enum):
     CVFL = "cvfl"
     DBFL_HOMOGENEOUS = "dbfl_homogeneous"
@@ -104,4 +111,13 @@ class ScenarioConfig:
             # members train on different feature columns, so their pooled
             # rows share no input layout the raw base-station probe fits
             raise ConfigError("retrain aggregation does not support dbfl_heterogeneous")
+        if (
+            self.aggregation is AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING
+            and len(self.devices) > MAX_ADAPTIVE_DEVICES
+        ):
+            raise ConfigError(
+                f"adaptive aggregation takes at most {MAX_ADAPTIVE_DEVICES} devices, "
+                f"got {len(self.devices)}: its weight grid grows as C(19 + m, m - 1) "
+                "in the m members of a level"
+            )
         object.__setattr__(self, "devices", tuple(self.devices))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionMismatch, EmptyDataset, TrainingDiverged
 from .rngs import substream
@@ -100,7 +99,13 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "sigmoid":
-        return expit(z)
+        # 1 / (1 + exp(-z)) in one buffer; exp overflows to inf for very
+        # negative z, which the reciprocal turns into an exact 0
+        s = np.negative(z)
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+        s += 1.0
+        return np.reciprocal(s, out=s)
     raise ValueError(f"unknown activation {kind!r}")
 
 

@@ -356,6 +356,10 @@ MISTYPED = [
      "the coverage partition needs num_features >= 2"),
     ({"data": {"schema": {"num_classes": 1}}}, "a classifier needs num_classes >= 2"),
     ({"data": {"latent_factors": 1}}, "the sectors task needs latent_factors >= 2"),
+    # the adaptive weight search grows as C(19 + m, m - 1) in a level's members
+    ({"aggregation": "adaptive",
+      "devices": [{"id": i, "pos": {"x": 1.0 + i, "y": 1.0}} for i in range(7)]},
+     "adaptive aggregation takes at most 6 devices, got 7"),
 ]
 
 

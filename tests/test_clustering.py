@@ -275,6 +275,36 @@ def test_cost_matrix_width_does_not_grow_with_max_size(monkeypatch):
     assert out == uncapped
 
 
+def test_assignment_solver_matches_enumeration():
+    # every injective row -> column map, priced at once; inf marks a forbidden pair
+    rng = np.random.default_rng(307)
+    infeasible = 0
+    for trial in range(400):
+        # few spare columns and few forbidden pairs make long augmenting paths
+        rows = int(rng.integers(1, 6))
+        cols = int(rng.integers(rows, min(rows + 4, 9) + 1))
+        cost = rng.uniform(0.0, 50.0, size=(rows, cols))
+        if trial % 2:
+            cost = np.round(cost / 10.0)  # integer costs make many ties
+        cost[rng.random((rows, cols)) < (trial % 3) * 0.25] = np.inf
+        for i in range(rows):
+            if not np.isfinite(cost[i]).any():
+                cost[i, int(rng.integers(0, cols))] = float(rng.integers(0, 50))
+        perms = np.array(list(itertools.permutations(range(cols), rows)))
+        best = cost[np.arange(rows), perms].sum(axis=1).min()
+        if not np.isfinite(best):
+            infeasible += 1
+            with pytest.raises(ValueError):
+                clustering.linear_sum_assignment(cost)
+            continue
+        row_idx, col_idx = clustering.linear_sum_assignment(cost)
+        assert list(row_idx) == list(range(rows)), f"trial {trial}"
+        assert len(set(col_idx)) == rows, f"trial {trial}"
+        total = cost[row_idx, col_idx].sum()
+        assert math.isclose(total, best, rel_tol=TOL, abs_tol=TOL), f"trial {trial}"
+    assert 0 < infeasible < 400
+
+
 def test_cluster_assignment_rejects_duplicates():
     with pytest.raises(ValueError):
         ClusterAssignment(

@@ -7,6 +7,9 @@ full-size comparisons live in the acceptance suite.
 import ast
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,7 @@ from dfedsim.scenarios import (
     run_scenario,
     total_energy,
 )
-from dfedsim.topology import LinkModel, Position
+from dfedsim.topology import DeviceNode, LinkModel, Position
 
 SMALL_PLAN = DataPlan(
     partition=PartitionPlan(devices=5, samples_per_device=150, strategy="coverage"),
@@ -274,6 +277,24 @@ def test_the_network_plane_imports_no_learning_code():
     assert not reached & {"ml_core", "aggregation", "scenarios", "__init__"}
 
 
+def test_importing_the_package_loads_no_scipy():
+    # numpy is the one numerical dependency; a fresh interpreter shows what
+    # `import dfedsim` pulls in, which this process's own imports would hide
+    src = Path(scenarios.__file__).parents[1]
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, dfedsim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def diverging_devices():
     """The default fleet with device 2 low on battery. As a DBFL head it
     dies in round 1, as a CVFL uploader in round 2. Its DBFL cluster then
@@ -437,6 +458,20 @@ def test_config_validation():
         ScenarioConfig(kind=ScenarioKind.CVFL, devices=devs + (devs[0],))
     with pytest.raises(ValueError):
         RoundTrace(0, (), None, (), accuracy=1.5, energy_spent={}, link_delays=())
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_adaptive_fleets_above_six_devices_fail_at_config_time(kind):
+    # the CVFL base station averages every participant, so one level can hold
+    # the whole fleet, and the weight grid has C(19 + m, m - 1) rows
+    fleet = tuple(
+        DeviceNode(i, Position(3.0 * i, 10.0), bs_latency_s=0.05) for i in range(7)
+    )
+    adaptive = AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING
+    ScenarioConfig(kind=kind, devices=fleet[:6], aggregation=adaptive)
+    ScenarioConfig(kind=kind, devices=fleet)  # weighted averaging has no grid
+    with pytest.raises(ConfigError, match="at most 6 devices, got 7"):
+        ScenarioConfig(kind=kind, devices=fleet, aggregation=adaptive)
 
 
 @pytest.mark.parametrize("method", list(AggregationMethod), ids=lambda m: m.value)

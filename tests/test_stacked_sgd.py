@@ -4,7 +4,9 @@
 `loss_gradients` call on their stack per minibatch. The functions below,
 down to `_sgd`, are the per-device loop as it stood before, kept verbatim
 as the reference: every device must come out of the stacked pass with
-exactly the bytes it gets when trained alone.
+exactly the bytes it gets when trained alone. The one edit is that the
+sigmoid derivative takes its sigmoid from `ml_core._activate`, so the
+reference checks the stacking and not the sigmoid formula.
 """
 
 import numpy as np
@@ -20,7 +22,6 @@ from dfedsim.ml_core import (
     glorot_init,
 )
 from dfedsim.rngs import substream
-from scipy.special import expit
 
 # ------------------------------------------------------ reference (verbatim)
 
@@ -31,7 +32,7 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return (z > 0.0).astype(np.float64)
     if kind == "sigmoid":
-        s = expit(z)
+        s = _activate(z, "sigmoid")
         return s * (1.0 - s)
     raise ValueError(f"unknown activation {kind!r}")
 
