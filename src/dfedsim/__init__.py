@@ -8,12 +8,9 @@ accuracy and energy.
 
 from .aggregation import (
     ModelArtifact,
-    ProbeSet,
     adaptive_average,
     aggregate_weighted,
     artifact_probabilities,
-    closest_member,
-    member_probabilities,
     optimize_adaptive_weights,
     retrain_pooled,
     train_meta,
@@ -43,9 +40,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     EmptyDataset,
-    EmptyMemberList,
     IndexOutOfRange,
-    MissingLabels,
     NoConnectableDevice,
     NoEligibleHead,
     ParseError,

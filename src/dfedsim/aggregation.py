@@ -1,10 +1,11 @@
-"""Model aggregation in class-probability space.
+"""Aggregation in class-probability space.
 
-A head (or the base station, the operations are level-agnostic) evaluates
-every member model on a shared probe set, combines the resulting
-probability matrices, and forwards one representative model. Four methods:
-plain weighted averaging, per-class adaptive weighting, a shallow stacking
-meta-learner, and pooled retraining.
+A head, or the base station (the operations are level-agnostic), combines
+its members' outputs, each a class-probability matrix over the same rows,
+into one such matrix. Three methods work on such a probability stack:
+the uniform mean, per-class adaptive weights and a shallow stacking
+meta-learner, the last two fitted on labelled probe rows. The fourth,
+pooled retraining, fits one model on the members' training rows instead.
 """
 
 from __future__ import annotations
@@ -12,17 +13,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset, EmptyMemberList, MissingLabels
-from .ml_core import (
-    ClassifierConfig,
-    DenseNetwork,
-    predict_proba,
-    train_classifier,
-)
+from .errors import DimensionMismatch, EmptyDataset
+from .ml_core import ClassifierConfig, DenseNetwork, predict_proba, train_classifier
 
 ADAPTIVE_GRID_STEP = 0.05
 ADAPTIVE_MAX_SWEEPS = 50
@@ -37,53 +34,22 @@ class ModelArtifact:
     sees, and ``network`` maps them to class logits (for a heterogeneous
     device its first layer compresses them to a latent code).
     ``input_dim`` is always the raw probe-feature width the artifact
-    consumes. Meta artifacts carry the member models their stacker feeds
-    on in ``meta_members``.
+    consumes.
     """
 
     network: DenseNetwork
-    source_id: int
     input_dim: int
     feature_indices: tuple[int, ...] | None = None
-    meta_members: tuple["ModelArtifact", ...] | None = None
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
-        if self.meta_members is not None and not self.meta_members:
-            raise ValueError("meta artifacts need their member models")
-
-
-@dataclass(frozen=True)
-class ProbeSet:
-    features: np.ndarray
-    labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        x = np.asarray(self.features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise EmptyDataset("probe set must be a non-empty 2-D sample matrix")
-        object.__setattr__(self, "features", x)
-        if self.labels is not None:
-            y = np.asarray(self.labels)
-            if y.shape[0] != x.shape[0]:
-                raise DimensionMismatch("probe labels must align with probe features")
-            object.__setattr__(self, "labels", y)
 
 
 def artifact_probabilities(artifact: ModelArtifact, features: np.ndarray) -> np.ndarray:
-    """Class probabilities of an artifact on raw probe features.
-
-    Applies the artifact's feature-column projection, then its network.
-    Meta artifacts first evaluate their members and stack the concatenated
-    probabilities.
-    """
+    """Class probabilities of an artifact on raw probe features: its
+    feature-column projection, then its network."""
     x = np.asarray(features, dtype=np.float64)
-    if artifact.meta_members is not None:
-        stacked = np.hstack(
-            [artifact_probabilities(m, x) for m in artifact.meta_members]
-        )
-        return predict_proba(artifact.network, stacked)
     if x.ndim != 2 or x.shape[1] != artifact.input_dim:
         raise DimensionMismatch(
             f"artifact consumes {artifact.input_dim} features, "
@@ -94,68 +60,18 @@ def artifact_probabilities(artifact: ModelArtifact, features: np.ndarray) -> np.
     return predict_proba(artifact.network, x)
 
 
-def _check_members(members: list[ModelArtifact]) -> None:
-    """Members must share one probe width and one class count."""
-    if not members:
-        raise EmptyMemberList("aggregation needs at least one member model")
-    first = members[0]
-    for m in members[1:]:
-        if (m.input_dim, m.network.output_dim) != (first.input_dim, first.network.output_dim):
-            raise DimensionMismatch(
-                f"member {m.source_id} consumes {m.input_dim} features into "
-                f"{m.network.output_dim} classes, member {first.source_id} "
-                f"{first.input_dim} into {first.network.output_dim}"
-            )
+def _labelled_stack(probs: Sequence[np.ndarray], labels) -> tuple[np.ndarray, np.ndarray]:
+    """The members' probability matrices as one (members, samples, classes)
+    stack, and the labels of its samples."""
+    stack, y = np.stack(probs), np.asarray(labels)
+    if y.shape != stack.shape[1:2]:
+        raise DimensionMismatch(f"{stack.shape[1]} probe rows, labels of shape {y.shape}")
+    return stack, y
 
 
-def member_probabilities(
-    members: list[ModelArtifact], probe: ProbeSet
-) -> np.ndarray:
-    """Stack of per-member probability matrices, shape (members, samples, classes)."""
-    _check_members(members)
-    return np.stack([artifact_probabilities(m, probe.features) for m in members])
-
-
-def aggregate_weighted(
-    members: list[ModelArtifact],
-    probe: ProbeSet,
-    weights: np.ndarray | None = None,
-) -> tuple[ModelArtifact, np.ndarray]:
-    """Average member class probabilities; forward the member closest to it.
-
-    ``weights`` is a point on the member simplex (uniform when omitted).
-    Returns (selected member, averaged probability matrix); the selected
-    member minimizes the Frobenius distance to the average, ties going to
-    the lower source_id.
-    """
-    probs = member_probabilities(members, probe)
-    m = len(members)
-    if weights is None:
-        w = np.full(m, 1.0 / m)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (m,):
-            raise DimensionMismatch(f"expected {m} weights, got shape {w.shape}")
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
-    avg = np.tensordot(w, probs, axes=1)
-    selected = closest_member(members, probs, avg)
-    return selected, avg
-
-
-def closest_member(
-    members: list[ModelArtifact], probs: np.ndarray, target: np.ndarray
-) -> ModelArtifact:
-    """Member whose probability matrix is Frobenius-closest to ``target``."""
-    best_idx = 0
-    best_key = None
-    for i, member in enumerate(members):
-        d = float(np.linalg.norm(probs[i] - target))
-        key = (d, member.source_id)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_idx = i
-    return members[best_idx]
+def aggregate_weighted(probs: Sequence[np.ndarray]) -> np.ndarray:
+    """Uniform mean of the members' probability matrices."""
+    return np.stack(probs).mean(axis=0)
 
 
 @functools.cache
@@ -245,9 +161,10 @@ def _grid_correct_counts(
 
 
 def optimize_adaptive_weights(
-    members: list[ModelArtifact], probe: ProbeSet
+    probs: Sequence[np.ndarray], labels: np.ndarray
 ) -> np.ndarray:
-    """Per-class member weights (classes x members) tuned on the probe set.
+    """Per-class member weights (classes x members) tuned on labelled probe
+    rows, given each member's probability matrix on them.
 
     Coordinate ascent over one class row at a time on a 0.05-resolution
     simplex grid, starting from uniform weights, in deterministic sweep
@@ -264,14 +181,7 @@ def optimize_adaptive_weights(
     argmax, and accuracies are the same ``count / n`` that ``np.mean``
     computes.
     """
-    if probe.labels is None:
-        raise MissingLabels("adaptive weighting needs probe labels")
-    probs = member_probabilities(members, probe)
-    return _adaptive_weights(probs, np.asarray(probe.labels))
-
-
-def _adaptive_weights(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The search of ``optimize_adaptive_weights`` on a probability stack."""
+    probs, labels = _labelled_stack(probs, labels)
     m, n, num_classes = probs.shape
     weights = np.full((num_classes, m), 1.0 / m)
     if m == 1:
@@ -296,37 +206,22 @@ def _adaptive_weights(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def train_meta(
-    members: list[ModelArtifact],
-    probe: ProbeSet,
-    config: ClassifierConfig,
-    source_id: int = -1,
-) -> ModelArtifact:
-    """Stacking: a shallow classifier over concatenated member probabilities.
-
-    The returned artifact keeps references to its members in
-    ``meta_members``, since inference has to evaluate them first.
-    """
-    if probe.labels is None:
-        raise MissingLabels("meta-learning needs probe labels")
-    probs = member_probabilities(members, probe)
-    m, n, num_classes = probs.shape
-    stacked = np.hstack(list(probs))
+    probs: Sequence[np.ndarray], labels: np.ndarray, config: ClassifierConfig
+) -> DenseNetwork:
+    """Stacking: a shallow classifier over the members' probability matrices
+    side by side, fitted on labelled probe rows. Apply it to
+    ``np.hstack(probs)`` of the same members on any rows."""
+    probs, labels = _labelled_stack(probs, labels)
+    m, _, num_classes = probs.shape
     cfg = dataclasses.replace(
         config, input_dim=m * num_classes, num_classes=num_classes, hidden_units=0
     )
-    net = train_classifier(cfg, stacked, np.asarray(probe.labels))
-    return ModelArtifact(
-        network=net,
-        source_id=source_id,
-        input_dim=members[0].input_dim,
-        meta_members=tuple(members),
-    )
+    return train_classifier(cfg, np.hstack(list(probs)), labels)
 
 
 def retrain_pooled(
     member_data: list[tuple[np.ndarray, np.ndarray]],
     config: ClassifierConfig,
-    source_id: int = -1,
 ) -> ModelArtifact:
     """One classifier trained on the concatenation of all member datasets."""
     if not member_data:
@@ -337,4 +232,4 @@ def retrain_pooled(
     features = np.vstack([np.asarray(x, dtype=np.float64) for x, _ in member_data])
     labels = np.concatenate([np.asarray(y) for _, y in member_data])
     net = train_classifier(config, features, labels)
-    return ModelArtifact(network=net, source_id=source_id, input_dim=dims.pop())
+    return ModelArtifact(network=net, input_dim=dims.pop())

@@ -36,7 +36,6 @@ from .errors import (
     ConfigError,
     EmptyDataset,
     IndexOutOfRange,
-    MissingLabels,
     ParseError,
     SchemaMismatch,
     SimulationError,
@@ -55,7 +54,7 @@ SUMMARY_HEADER = "scenario,final_accuracy,total_energy"
 SWEEP_HEADER = "delay_per_meter_s,scenario,total_energy"
 DEFAULT_SWEEP = "0.001,0.0015,0.002,0.0025,0.003"
 
-_DATA_ERRORS = (ParseError, SchemaMismatch, EmptyDataset, MissingLabels, IndexOutOfRange)
+_DATA_ERRORS = (ParseError, SchemaMismatch, EmptyDataset, IndexOutOfRange)
 
 
 # ---------------------------------------------------------- config plumbing

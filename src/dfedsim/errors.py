@@ -25,14 +25,6 @@ class EmptyDataset(SimulationError):
     """An operation that needs samples received none."""
 
 
-class EmptyMemberList(SimulationError):
-    """Aggregation was requested over zero member models."""
-
-
-class MissingLabels(SimulationError):
-    """The probe set has no labels but the operation requires them."""
-
-
 class SchemaMismatch(SimulationError):
     """A dataset file does not match the declared schema."""
 

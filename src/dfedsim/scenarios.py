@@ -10,16 +10,16 @@ The learning plane (``_Run._learn``) consumes the plan the same way for
 all three schemes: every participant trains its one local network, each
 group with a head aggregates there, the base station aggregates what
 reaches it, and the result is scored on the held-out test split. Each
-level is scored as it is built (``_Run._aggregate``). Under retraining
-the base station instead fits one classifier on every participant's
-pooled rows, and no head or device trains, since nothing would read their
-models; the network plane charges the round as for any method. The
-conventional variant (CVFL) has one group without a head: only devices
-whose base-station delay clears the cutoff take part, and the devices
-shut out of the round still burn transmission attempts toward the
-far-away station. The cluster-routed variants (DBFL) have one group per
-participating cluster whose head is alive; a round in which no alive
-device can reach the base station has no groups at all.
+level hands up class probabilities, never a model (``_Run._aggregate``).
+Under retraining the base station instead fits one classifier on every
+participant's pooled rows, and no head or device trains, since nothing
+would read their models; the network plane charges the round as for any
+method. The conventional variant (CVFL) has one group without a head:
+only devices whose base-station delay clears the cutoff take part, and
+the devices shut out of the round still burn transmission attempts
+toward the far-away station. The cluster-routed variants (DBFL) have one
+group per participating cluster whose head is alive; a round in which no
+alive device can reach the base station has no groups at all.
 
 A device's model is a column projection followed by one network. In the
 heterogeneous scheme each device sees only its own feature columns: its
@@ -58,12 +58,10 @@ import numpy as np
 
 from .aggregation import (
     ModelArtifact,
-    ProbeSet,
-    _adaptive_weights,
     adaptive_average,
+    aggregate_weighted,
     artifact_probabilities,
-    closest_member,
-    member_probabilities,
+    optimize_adaptive_weights,
     retrain_pooled,
     train_meta,
 )
@@ -189,6 +187,16 @@ def _build_dataset(config: ScenarioConfig) -> _Dataset:
     return _Dataset(test_x, test_y, rows)
 
 
+@dataclass(frozen=True)
+class _RoundProbe:
+    """Every participant's probe rows in device-id order: their features,
+    their labels and the id of the device each row is from."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    owner: np.ndarray
+
+
 class _Run:
     """One run: the network plane plans and charges each round, then the
     learning plane (device data, local models, aggregation) trains it."""
@@ -270,36 +278,39 @@ class _Run:
             seed=_derive_seed(self.config.seed, *seed_key),
         )
 
-    def _probe_union(self, device_ids: tuple[int, ...]) -> ProbeSet:
-        xs = [self.devices[d].rows.probe_x for d in sorted(device_ids)]
-        ys = [self.devices[d].rows.probe_y for d in sorted(device_ids)]
-        return ProbeSet(features=np.vstack(xs), labels=np.concatenate(ys))
+    def _round_probe(self, participants: tuple[int, ...]) -> _RoundProbe:
+        rows = [(d, self.devices[d].rows) for d in sorted(participants)]
+        return _RoundProbe(
+            np.vstack([r.probe_x for _, r in rows]),
+            np.concatenate([r.probe_y for _, r in rows]),
+            np.concatenate([np.full(len(r.probe_y), d) for d, r in rows]),
+        )
 
     def _aggregate(
         self,
-        nodes: list[tuple[ModelArtifact | None, np.ndarray]],
-        source_id: int,
-        round_index: int,
+        nodes: list[tuple[np.ndarray, np.ndarray | None]],
+        probe: _RoundProbe | None,
         member_ids: tuple[int, ...],
-    ) -> tuple[ModelArtifact | None, np.ndarray]:
-        """Aggregate one level of (relayed artifact, test probabilities)
-        pairs into this node's pair: the model it relays, None where no
-        level above reads one, and what it computes on the test split."""
+        node_id: int,
+        round_index: int,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Combine one level's nodes into this node's pair of probability
+        matrices, one on the test split and one on the round's probe.
+
+        A level fits its weights or stacker on its members' probe rows and
+        applies them to both matrices, so the level above fits on exactly
+        what this level outputs. Weighted averaging fits nothing, and so
+        has no probe."""
+        tests = [t for t, _ in nodes]
+        if probe is None:
+            return aggregate_weighted(tests), None
+        probes = [p for _, p in nodes]
+        rows = np.isin(probe.owner, member_ids)
+        fit_on, labels = [p[rows] for p in probes], probe.labels[rows]
         method = self.config.aggregation
-        probs = [p for _, p in nodes]
-        if method is AggregationMethod.WEIGHTED_AVERAGING:
-            return None, np.stack(probs).mean(axis=0)
-        artifacts = [a for a, _ in nodes]
-        probe = self._probe_union(member_ids)
         if method is AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING:
-            on_probe = member_probabilities(artifacts, probe)
-            weights = _adaptive_weights(on_probe, probe.labels)
-            selected = None
-            if source_id != BS_NODE_ID:
-                # no level reads what the base station would relay
-                average = adaptive_average(on_probe, weights)
-                selected = closest_member(artifacts, on_probe, average)
-            return selected, adaptive_average(np.stack(probs), weights)
+            weights = optimize_adaptive_weights(fit_on, labels)
+            return tuple(adaptive_average(np.stack(s), weights) for s in (tests, probes))
         if method is AggregationMethod.META_LEARNING:
             cfg = ClassifierConfig(
                 input_dim=1,  # replaced inside train_meta
@@ -308,11 +319,11 @@ class _Run:
                 learning_rate=0.1,
                 epochs=30,
                 seed=_derive_seed(
-                    self.config.seed, "meta", _seed_node_key(source_id), round_index
+                    self.config.seed, "meta", _seed_node_key(node_id), round_index
                 ),
             )
-            meta = train_meta(artifacts, probe, cfg, source_id=source_id)
-            return meta, predict_proba(meta.network, np.hstack(probs))
+            stacker = train_meta(fit_on, labels, cfg)
+            return tuple(predict_proba(stacker, np.hstack(s)) for s in (tests, probes))
         raise ConfigError(f"unsupported aggregation method {method}")
 
     def _retrain(self, participants: tuple[int, ...], round_index: int) -> ModelArtifact:
@@ -321,7 +332,7 @@ class _Run:
         rows = [self.devices[d].rows for d in sorted(participants)]
         cfg = self._classifier_config(rows[0], "retrain", _seed_node_key(BS_NODE_ID), round_index)
         pooled = [(r.train_x, r.train_y) for r in rows]
-        return retrain_pooled(pooled, cfg, source_id=BS_NODE_ID)
+        return retrain_pooled(pooled, cfg)
 
     # ------------------------------------------------------------ rounds
 
@@ -335,20 +346,32 @@ class _Run:
         """Aggregate each headed group's trained models at its head and the
         result at the base station, or retrain there; returns the test
         accuracy, with ``score`` giving an artifact's probabilities on the
-        test split."""
+        test split. A leaf is a trained model, scored once on each split."""
         if not plan.groups:
             return 0.0
-        if self.config.aggregation is AggregationMethod.RETRAINING:
+        method = self.config.aggregation
+        if method is AggregationMethod.RETRAINING:
             probs = score(self._retrain(plan.participants, round_index))
         else:
+            probe = None
+            if method is not AggregationMethod.WEIGHTED_AVERAGING:
+                probe = self._round_probe(plan.participants)
+
+            def leaf(artifact: ModelArtifact) -> tuple[np.ndarray, np.ndarray | None]:
+                if probe is None:
+                    return score(artifact), None
+                return score(artifact), artifact_probabilities(artifact, probe.features)
+
             level = []
             for head, members in plan.groups:
-                leaves = [(trained[m], score(trained[m])) for m in members]
+                leaves = [leaf(trained[m]) for m in members]
                 if head is None:
                     level.extend(leaves)
                 else:
-                    level.append(self._aggregate(leaves, head, round_index, members))
-            _, probs = self._aggregate(level, BS_NODE_ID, round_index, plan.participants)
+                    level.append(self._aggregate(leaves, probe, members, head, round_index))
+            probs, _ = self._aggregate(
+                level, probe, plan.participants, BS_NODE_ID, round_index
+            )
         return float(np.mean(probs.argmax(axis=1) == self.dataset.test_y))
 
 
@@ -402,7 +425,6 @@ def _train_round(
         for key, (run, runtime, _), net in zip(keys, asks, nets):
             artifacts[key] = ModelArtifact(
                 network=net,
-                source_id=runtime.device_id,
                 input_dim=run.schema.num_features,
                 feature_indices=runtime.rows.feature_indices,
             )

@@ -11,25 +11,17 @@ from dfedsim.aggregation import (
     ADAPTIVE_GRID_STEP,
     ADAPTIVE_MAX_SWEEPS,
     ModelArtifact,
-    ProbeSet,
-    _adaptive_weights,
     _simplex_grid,
     adaptive_accuracy,
     adaptive_average,
     aggregate_weighted,
     artifact_probabilities,
-    member_probabilities,
     optimize_adaptive_weights,
     retrain_pooled,
     train_meta,
 )
 from dfedsim.config import AggregationMethod
-from dfedsim.errors import (
-    DimensionMismatch,
-    EmptyDataset,
-    EmptyMemberList,
-    MissingLabels,
-)
+from dfedsim.errors import DimensionMismatch, EmptyDataset
 from dfedsim.ml_core import (
     ClassifierConfig,
     DenseNetwork,
@@ -41,122 +33,90 @@ from dfedsim.ml_core import (
 )
 
 
-def make_artifact(rng, source_id, feature_dim=6, classes=3, net=None):
-    if net is None:
-        net = glorot_init([feature_dim, classes], ["linear"], rng)
-    return ModelArtifact(network=net, source_id=source_id, input_dim=feature_dim)
+def make_probs(rng, m, n=40, feature_dim=6, classes=3):
+    """m random linear members' probability matrices on n shared rows."""
+    x = rng.normal(size=(n, feature_dim))
+    return [predict_proba(glorot_init([feature_dim, classes], ["linear"], rng), x) for _ in range(m)]
 
 
-def make_probe(rng, n=40, feature_dim=6, classes=3, labeled=True):
-    labels = rng.integers(0, classes, size=n) if labeled else None
-    return ProbeSet(features=rng.normal(size=(n, feature_dim)), labels=labels)
+def make_labels(rng, n=40, classes=3):
+    return rng.integers(0, classes, size=n)
+
+
+def test_weighted_average_is_the_plain_mean_of_the_stack():
+    rng = np.random.default_rng(601)
+    for m in (1, 2, 3, 5):
+        probs = make_probs(rng, m)
+        assert aggregate_weighted(probs).tobytes() == np.stack(probs).mean(axis=0).tobytes()
 
 
 def test_identical_members_average_to_themselves():
-    rng = np.random.default_rng(601)
-    net = glorot_init([6, 3], ["linear"], rng)
-    members = [make_artifact(rng, 3, net=net), make_artifact(rng, 1, net=net)]
-    probe = make_probe(rng, labeled=False)
-    selected, avg = aggregate_weighted(members, probe)
-    assert np.array_equal(avg, artifact_probabilities(members[0], probe.features))
-    assert selected.source_id == 1  # distance tie, lower id
-
-
-def test_degenerate_weights_select_the_weighted_member():
-    rng = np.random.default_rng(602)
-    members = [make_artifact(rng, 0), make_artifact(rng, 1)]
-    probe = make_probe(rng, labeled=False)
-    selected, avg = aggregate_weighted(members, probe, weights=np.array([1.0, 0.0]))
-    assert np.array_equal(avg, artifact_probabilities(members[0], probe.features))
-    assert selected.source_id == 0
-
-
-def test_selection_matches_exhaustive_distance_recomputation():
-    rng = np.random.default_rng(603)
-    for trial in range(100):
-        members = [make_artifact(rng, i) for i in range(3)]
-        probe = make_probe(rng, n=int(rng.integers(5, 30)), labeled=False)
-        selected, avg = aggregate_weighted(members, probe)
-        probs = [artifact_probabilities(m, probe.features) for m in members]
-        dists = [float(np.sqrt(((p - avg) ** 2).sum())) for p in probs]
-        assert selected.source_id == int(np.argmin(dists)), f"trial {trial}"
+    (p,) = make_probs(np.random.default_rng(602), 1)
+    assert np.array_equal(aggregate_weighted([p, p]), p)
 
 
 def test_average_is_a_convex_combination():
     rng = np.random.default_rng(604)
-    members = [make_artifact(rng, i) for i in range(3)]
-    probe = make_probe(rng, labeled=False)
-    _, avg = aggregate_weighted(members, probe)
+    probs = make_probs(rng, 3)
+    avg = aggregate_weighted(probs)
     check_probability_matrix(avg, tol=1e-9)
-    probs = np.stack([artifact_probabilities(m, probe.features) for m in members])
-    assert np.all(avg >= probs.min(axis=0) - 1e-12)
-    assert np.all(avg <= probs.max(axis=0) + 1e-12)
-
-
-def test_duplicating_the_winner_does_not_change_the_winning_model():
-    rng = np.random.default_rng(605)
-    for _ in range(20):
-        members = [make_artifact(rng, i) for i in range(2)]
-        probe = make_probe(rng, labeled=False)
-        selected, _ = aggregate_weighted(members, probe)
-        clones = members + [
-            ModelArtifact(
-                network=selected.network,
-                source_id=10 + i,
-                input_dim=selected.input_dim,
-            )
-            for i in range(2)
-        ]
-        again, _ = aggregate_weighted(clones, probe)
-        assert again.network is selected.network
+    assert np.all(avg >= np.min(probs, axis=0) - 1e-12)
+    assert np.all(avg <= np.max(probs, axis=0) + 1e-12)
 
 
 def test_aggregate_error_contracts():
     rng = np.random.default_rng(606)
-    probe = make_probe(rng, labeled=False)
-    with pytest.raises(EmptyMemberList):
-        aggregate_weighted([], probe)
-    mixed = [make_artifact(rng, 0, feature_dim=6), make_artifact(rng, 1, feature_dim=6, classes=4)]
-    with pytest.raises(DimensionMismatch):
-        aggregate_weighted(mixed, probe)
-    # same class count, but one member consumes a wider probe row
-    wide = [make_artifact(rng, 0, feature_dim=6), make_artifact(rng, 1, feature_dim=7)]
-    with pytest.raises(DimensionMismatch):
-        aggregate_weighted(wide, probe)
-    members = [make_artifact(rng, 0), make_artifact(rng, 1)]
     with pytest.raises(ValueError):
-        aggregate_weighted(members, probe, weights=np.array([0.7, 0.7]))
+        aggregate_weighted([])
+    # members must share one row count and one class count
+    for mixed in (
+        [make_probs(rng, 1)[0], make_probs(rng, 1, classes=4)[0]],
+        [make_probs(rng, 1)[0], make_probs(rng, 1, n=41)[0]],
+    ):
+        with pytest.raises(ValueError):
+            aggregate_weighted(mixed)
+        with pytest.raises(ValueError):
+            optimize_adaptive_weights(mixed, make_labels(rng))
+    net = glorot_init([6, 3], ["linear"], rng)
     with pytest.raises(ValueError):
-        ModelArtifact(members[0].network, 0, input_dim=0)
+        ModelArtifact(net, input_dim=0)
+
+
+def test_adaptive_and_meta_need_one_label_per_probe_row():
+    rng = np.random.default_rng(611)
+    probs = make_probs(rng, 2)
+    cfg = ClassifierConfig(input_dim=1, hidden_units=0, num_classes=3, epochs=1, seed=5)
+    for labels in (make_labels(rng, n=39), make_labels(rng, n=41), make_labels(rng)[None, :]):
+        with pytest.raises(DimensionMismatch):
+            optimize_adaptive_weights(probs, labels)
+        with pytest.raises(DimensionMismatch):
+            train_meta(probs, labels, cfg)
 
 
 def test_adaptive_single_member_is_forced_uniform():
     rng = np.random.default_rng(607)
-    members = [make_artifact(rng, 0)]
-    probe = make_probe(rng)
-    w = optimize_adaptive_weights(members, probe)
+    w = optimize_adaptive_weights(make_probs(rng, 1), make_labels(rng))
     assert w.shape == (3, 1)
     assert np.all(w == 1.0)
 
 
 def _perfect_and_uniform_members(rng, n=60, classes=3):
+    """A sharp member that is right on every row and a flat one that says
+    nothing: their probability matrices, and the rows' labels."""
     labels = rng.integers(0, classes, size=n)
     features = np.eye(classes)[labels] * 4.0 + rng.normal(size=(n, classes)) * 0.05
     sharp = DenseNetwork([Layer(np.eye(classes) * 5.0, np.zeros(classes))])
     flat = DenseNetwork([Layer(np.zeros((classes, classes)), np.zeros(classes))])
-    a = ModelArtifact(sharp, 0, classes)
-    b = ModelArtifact(flat, 1, classes)
-    return [a, b], ProbeSet(features=features, labels=labels)
+    return [predict_proba(sharp, features), predict_proba(flat, features)], labels
 
 
 def test_adaptive_concentrates_on_the_perfect_member():
     rng = np.random.default_rng(608)
-    members, probe = _perfect_and_uniform_members(rng)
-    probs = member_probabilities(members, probe)
-    solo = float(np.mean(probs[0].argmax(axis=1) == probe.labels))
+    probs, labels = _perfect_and_uniform_members(rng)
+    solo = float(np.mean(probs[0].argmax(axis=1) == labels))
     assert solo == 1.0
-    w = optimize_adaptive_weights(members, probe)
-    achieved = adaptive_accuracy(probs, w, probe.labels)
+    w = optimize_adaptive_weights(probs, labels)
+    achieved = adaptive_accuracy(np.stack(probs), w, labels)
     assert achieved == solo
     assert np.all(w[:, 0] >= 0.5)
 
@@ -165,13 +125,12 @@ def test_adaptive_never_scores_below_uniform():
     rng = np.random.default_rng(609)
     for trial in range(40):
         m = int(rng.integers(2, 4))
-        members = [make_artifact(rng, i) for i in range(m)]
-        probe = make_probe(rng, n=int(rng.integers(10, 50)))
-        probs = member_probabilities(members, probe)
+        n = int(rng.integers(10, 50))
+        probs, labels = np.stack(make_probs(rng, m, n=n)), make_labels(rng, n=n)
         uniform = np.full((3, m), 1.0 / m)
-        base = adaptive_accuracy(probs, uniform, probe.labels)
-        w = optimize_adaptive_weights(members, probe)
-        assert adaptive_accuracy(probs, w, probe.labels) >= base, f"trial {trial}"
+        base = adaptive_accuracy(probs, uniform, labels)
+        w = optimize_adaptive_weights(probs, labels)
+        assert adaptive_accuracy(probs, w, labels) >= base, f"trial {trial}"
         assert np.allclose(w.sum(axis=1), 1.0)
         assert np.all(w >= 0.0)
 
@@ -181,16 +140,14 @@ def test_adaptive_matches_exhaustive_grid_for_two_members():
     greedily per class in the same order (two members, tiny grid)."""
     rng = np.random.default_rng(610)
     for trial in range(10):
-        members = [make_artifact(rng, i) for i in range(2)]
-        probe = make_probe(rng, n=25)
-        probs = member_probabilities(members, probe)
-        got = optimize_adaptive_weights(members, probe)
-        achieved = adaptive_accuracy(probs, got, probe.labels)
+        probs, labels = np.stack(make_probs(rng, 2, n=25)), make_labels(rng, n=25)
+        got = optimize_adaptive_weights(probs, labels)
+        achieved = adaptive_accuracy(probs, got, labels)
 
         ticks = round(1.0 / ADAPTIVE_GRID_STEP)
         rows = [np.array([t / ticks, 1.0 - t / ticks]) for t in range(ticks + 1)]
         weights = np.full((3, 2), 0.5)
-        current = adaptive_accuracy(probs, weights, probe.labels)
+        current = adaptive_accuracy(probs, weights, labels)
         for _ in range(50):
             improved = False
             for cls in range(3):
@@ -198,7 +155,7 @@ def test_adaptive_matches_exhaustive_grid_for_two_members():
                 trial_w = weights.copy()
                 for row in rows:
                     trial_w[cls] = row
-                    acc = adaptive_accuracy(probs, trial_w, probe.labels)
+                    acc = adaptive_accuracy(probs, trial_w, labels)
                     if acc > best_acc:
                         best_acc, best_row = acc, row.copy()
                 if best_acc > current:
@@ -283,51 +240,36 @@ def test_grid_scoring_matches_the_per_row_search_bit_for_bit():
         probs = np.stack([softmax(z) for z in logits])
         labels = rng.integers(0, classes, size=n)
         expected = _per_row_adaptive_weights(probs, labels)
-        got = _adaptive_weights(probs, labels)
+        got = optimize_adaptive_weights(probs, labels)
         assert got.tobytes() == expected.tobytes(), f"trial {trial}"
-
-
-def test_adaptive_requires_labels():
-    rng = np.random.default_rng(611)
-    members = [make_artifact(rng, 0), make_artifact(rng, 1)]
-    with pytest.raises(MissingLabels):
-        optimize_adaptive_weights(members, make_probe(rng, labeled=False))
-    with pytest.raises(EmptyMemberList):
-        optimize_adaptive_weights([], make_probe(rng))
 
 
 def test_adaptive_average_is_row_stochastic():
     rng = np.random.default_rng(612)
-    members = [make_artifact(rng, i) for i in range(3)]
-    probe = make_probe(rng)
-    probs = member_probabilities(members, probe)
-    w = optimize_adaptive_weights(members, probe)
-    check_probability_matrix(adaptive_average(probs, w), tol=1e-9)
+    probs, labels = make_probs(rng, 3), make_labels(rng)
+    w = optimize_adaptive_weights(probs, labels)
+    check_probability_matrix(adaptive_average(np.stack(probs), w), tol=1e-9)
 
 
 def test_meta_reaches_perfect_member_performance():
     rng = np.random.default_rng(613)
-    members, probe = _perfect_and_uniform_members(rng, n=120)
+    probs, labels = _perfect_and_uniform_members(rng, n=120)
     cfg = ClassifierConfig(input_dim=1, hidden_units=0, num_classes=3,
                            epochs=300, learning_rate=0.5, seed=4)
-    meta = train_meta(members, probe, cfg)
-    assert meta.meta_members == tuple(members)
-    probs = artifact_probabilities(meta, probe.features)
-    assert float(np.mean(probs.argmax(axis=1) == probe.labels)) >= 0.99
+    stacker = train_meta(probs, labels, cfg)
+    out = predict_proba(stacker, np.hstack(probs))
+    assert float(np.mean(out.argmax(axis=1) == labels)) >= 0.99
 
 
 def test_meta_zero_epochs_and_determinism():
     rng = np.random.default_rng(614)
-    members = [make_artifact(rng, i) for i in range(2)]
-    probe = make_probe(rng)
+    probs, labels = make_probs(rng, 2), make_labels(rng)
     cfg = ClassifierConfig(input_dim=1, hidden_units=0, num_classes=3, epochs=0, seed=5)
-    a = train_meta(members, probe, cfg)
-    b = train_meta(members, probe, cfg)
-    assert np.array_equal(a.network.layers[0].weights, b.network.layers[0].weights)
+    a = train_meta(probs, labels, cfg)
+    b = train_meta(probs, labels, cfg)
+    assert np.array_equal(a.layers[0].weights, b.layers[0].weights)
     # input side: 2 members x 3 classes
-    assert a.network.input_dim == 6
-    with pytest.raises(MissingLabels):
-        train_meta(members, make_probe(rng, labeled=False), cfg)
+    assert a.input_dim == 6
 
 
 def test_retrain_single_member_equals_direct_training():
@@ -372,7 +314,6 @@ def test_artifact_pipeline_applies_subset_then_encoder():
     # a heterogeneous device ships one network whose first layer is its encoder
     artifact = ModelArtifact(
         network=DenseNetwork(encoder.layers + head.layers),
-        source_id=0,
         input_dim=10,
         feature_indices=(9, 0, 3, 5),
     )

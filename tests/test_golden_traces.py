@@ -34,8 +34,8 @@ GOLDEN = {
     ("weighted", "dbfl_homogeneous"): "0956ef772ef133bab8c38ea24385052316bd864b152c36590f435bda584f39ff",
     ("weighted", "dbfl_heterogeneous"): "5aa337971490c23b79e1c82009e6101dd7ef9380d828449cd9dcf113ed3c3e79",
     ("adaptive", "cvfl"): "183a18187440824f3dcb0051761d0ef13a5232f5281203c16293a701308afc11",
-    ("adaptive", "dbfl_homogeneous"): "43db9ede408c6230140e9f3f963b3516d784bcac9cf36ffb3b817b37b1db439a",
-    ("adaptive", "dbfl_heterogeneous"): "62311ae9e7b698719f1beb7f64972e7bf9ec70e67cd94e7ca6c5ae6b0b5c1c0f",
+    ("adaptive", "dbfl_homogeneous"): "7e5b0cb82e97a2be75bb505eb1a4b21f05b9d0e768632dd2b667f39f27f734ea",
+    ("adaptive", "dbfl_heterogeneous"): "07c90ec9cebd73538001bcaee46bd52ad45bbe62d5e4223e840750806c373aa2",
     ("meta", "cvfl"): "d856835ff343b448163439c7efab281d1170e1ec85c722713c72a7e8011c4b7e",
     ("meta", "dbfl_homogeneous"): "4e30acfe5725e1f5c4893202d5b9bcf13d8731773264279685ca6376ab8c7e9f",
     ("meta", "dbfl_heterogeneous"): "be06ff8222abc3fe919dcf696fd7d20a07c3277ad0959a16b26112c61b5576de",

@@ -16,18 +16,24 @@ import numpy as np
 import pytest
 
 from dfedsim import aggregation, scenarios
-from dfedsim.aggregation import artifact_probabilities, closest_member
+from dfedsim.aggregation import (
+    adaptive_average,
+    artifact_probabilities,
+    optimize_adaptive_weights,
+)
 from dfedsim.config import AggregationMethod, ScenarioConfig, ScenarioKind, default_devices
 from dfedsim.data import DataPlan, PartitionPlan, _generate, write_csv
 from dfedsim.energy import EnergyParams, quantize
 from dfedsim.errors import ConfigError
 from dfedsim.head_selection import HeadPolicy
+from dfedsim.ml_core import predict_proba
 from dfedsim.network import BS_NODE_ID, _Network
 from dfedsim.scenarios import (
     RoundTrace,
     _Run,
     _build_dataset,
     _lockstep,
+    _train_round,
     compare_scenarios,
     delay_sweep,
     run_scenario,
@@ -578,7 +584,7 @@ def recorded_compare(monkeypatch, base):
     monkeypatch.setattr(
         scenarios, "train_classifier", recording(trained, scenarios.train_classifier)
     )
-    # the aggregation binding is where probe rows, and meta members, are scored
+    # scenarios scores both splits; a scoring inside aggregation would show too
     scored = []
     for module in (scenarios, aggregation):
         monkeypatch.setattr(
@@ -612,28 +618,89 @@ def test_compare_trains_and_scores_each_distinct_model_once(monkeypatch):
 
 
 def test_meta_scores_each_device_model_once_on_the_test_split(monkeypatch):
-    # a meta node stacks its children's test probabilities, so the device
-    # networks under it go through the round's memo like any other leaf
+    # a meta node stacks its members' probabilities and hands up its own, so
+    # only device models are scored: each once on the test split, through
+    # the round's memo, and once on the round probe of each run that has it
+    device_nets = {}
+    train_classifier = scenarios.train_classifier
+
+    def train(*args, **kwargs):
+        nets = train_classifier(*args, **kwargs)
+        device_nets.update((id(net), net) for net in nets)
+        return nets
+
+    monkeypatch.setattr(scenarios, "train_classifier", train)
     base = small_config(ScenarioKind.CVFL, aggregation=AggregationMethod.META_LEARNING)
     runs, dataset, _, scored = recorded_compare(monkeypatch, base)
+    assert all(id(artifact.network) in device_nets for artifact, _ in scored)
     on_test = [artifact for artifact, features in scored if features is dataset.test_x]
-    assert all(artifact.meta_members is None for artifact in on_test)
     networks = {id(artifact.network) for artifact in on_test}
     assert len(on_test) == len(networks) == distinct_device_models(runs) == 30
+    on_probe = [
+        (id(artifact.network), id(features))
+        for artifact, features in scored
+        if features is not dataset.test_x
+    ]
+    leaves = sum(len(t.participants) for traces in runs.values() for t in traces)
+    assert len(on_probe) == len(set(on_probe)) == leaves
     for kind, traces in runs.items():
         assert repr(traces) == repr(run_scenario(dataclasses.replace(base, kind=kind)))
 
 
-def test_adaptive_base_station_picks_no_relay_member(monkeypatch):
-    picked = []
-    monkeypatch.setattr(scenarios, "closest_member", recording(picked, closest_member))
-    base = small_config(
-        ScenarioKind.CVFL, aggregation=AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING
+def recorded_dbfl_round(monkeypatch, method, fitter):
+    """One two-head DBFL round under ``method``, with every call to the
+    scenarios binding ``fitter`` recorded. Checks that the base station
+    fits on the round probe's labels; returns the heads' (probs, labels,
+    fit) calls, the base station's input, the round's groups, its trained
+    models by device and its round probe features."""
+    fits = []
+    fit = getattr(scenarios, fitter)
+
+    def record(probs, labels, *args):
+        fits.append((probs, labels, fit(probs, labels, *args)))
+        return fits[-1][2]
+
+    trained = []
+
+    def train_round(*args):
+        trained.append(_train_round(*args))
+        return trained[-1]
+
+    monkeypatch.setattr(scenarios, fitter, record)
+    monkeypatch.setattr(scenarios, "_train_round", train_round)
+    config = small_config(ScenarioKind.DBFL_HOMOGENEOUS, rounds=1, aggregation=method)
+    run_scenario(config)
+    plan = _Network(config).plan_round(0)
+    assert len(plan.head_ids) == len(plan.groups) == 2
+    ((models,),) = trained
+    dataset = _build_dataset(config)
+    ids = sorted(plan.participants)
+    probe_x = np.vstack([dataset.devices[d].probe_x for d in ids])
+    probe_y = np.concatenate([dataset.devices[d].probe_y for d in ids])
+    *head_fits, (bs_probs, bs_labels, _) = fits
+    assert len(head_fits) == len(bs_probs) == 2
+    assert np.array_equal(bs_labels, probe_y)
+    return head_fits, bs_probs, plan.groups, models, probe_x
+
+
+def test_adaptive_base_station_fits_on_the_head_ensembles(monkeypatch):
+    # each head hands up its ensemble, its members' probabilities combined
+    # with its own weights, on the round probe; the base station fits on that
+    head_fits, bs_probs, groups, models, probe_x = recorded_dbfl_round(
+        monkeypatch, AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING, "optimize_adaptive_weights"
     )
-    runs = compare_scenarios(base)
-    heads = sum(len(t.head_ids) for traces in runs.values() for t in traces)
-    assert heads > 0
-    assert len(picked) == heads
+    for (_, members), (_, _, weights), got in zip(groups, head_fits, bs_probs):
+        on_probe = np.stack([artifact_probabilities(models[m], probe_x) for m in members])
+        assert np.array_equal(got, adaptive_average(on_probe, weights))
+
+
+def test_meta_base_station_fits_on_the_head_stackers(monkeypatch):
+    head_fits, bs_probs, groups, models, probe_x = recorded_dbfl_round(
+        monkeypatch, AggregationMethod.META_LEARNING, "train_meta"
+    )
+    for (_, members), (_, _, stacker), got in zip(groups, head_fits, bs_probs):
+        on_probe = np.hstack([artifact_probabilities(models[m], probe_x) for m in members])
+        assert np.array_equal(got, predict_proba(stacker, on_probe))
 
 
 def test_retrain_fits_one_pooled_model_per_round_and_trains_no_device(monkeypatch):
@@ -641,9 +708,9 @@ def test_retrain_fits_one_pooled_model_per_round_and_trains_no_device(monkeypatc
     # below it, so no head retrains and no device trains a local network
     pooled = []
 
-    def retrain(member_data, config, source_id=-1):
-        pooled.append((source_id, len(member_data)))
-        return aggregation.retrain_pooled(member_data, config, source_id=source_id)
+    def retrain(member_data, config):
+        pooled.append(len(member_data))
+        return aggregation.retrain_pooled(member_data, config)
 
     trained = []
     monkeypatch.setattr(scenarios, "retrain_pooled", retrain)
@@ -655,7 +722,7 @@ def test_retrain_fits_one_pooled_model_per_round_and_trains_no_device(monkeypatc
     )
     traces = run_scenario(config)
     assert all(trace.head_ids for trace in traces)
-    assert pooled == [(BS_NODE_ID, len(trace.participants)) for trace in traces]
+    assert pooled == [len(trace.participants) for trace in traces]
     assert trained == []
 
 
