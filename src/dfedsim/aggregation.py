@@ -62,10 +62,15 @@ def artifact_probabilities(artifact: ModelArtifact, features: np.ndarray) -> np.
 
 def _labelled_stack(probs: Sequence[np.ndarray], labels) -> tuple[np.ndarray, np.ndarray]:
     """The members' probability matrices as one (members, samples, classes)
-    stack, and the labels of its samples."""
+    stack, and the labels of its samples: one class index per sample, and
+    at least one sample."""
     stack, y = np.stack(probs), np.asarray(labels)
     if y.shape != stack.shape[1:2]:
         raise DimensionMismatch(f"{stack.shape[1]} probe rows, labels of shape {y.shape}")
+    if not y.size:
+        raise EmptyDataset("no labelled probe rows to fit on")
+    if y.min() < 0 or y.max() >= stack.shape[2]:
+        raise ValueError(f"labels must lie in [0, {stack.shape[2]})")
     return stack, y
 
 
@@ -106,9 +111,16 @@ def adaptive_average(probs: np.ndarray, weight_matrix: np.ndarray) -> np.ndarray
     return avg / avg.sum(axis=1, keepdims=True)
 
 
-# Grid rows scored per numpy pass: bounds the (rows x samples) temporaries of
-# the weight search, whose grid has 10,626 rows at five members.
-_GRID_BLOCK_ROWS = 256
+# Grid rows x contested samples scored per numpy pass: keeps each temporary
+# of the weight search near 256 KB, whose grid has 10,626 rows at five members.
+_GRID_BLOCK_CELLS = 1 << 15
+
+# Slack on the bounds of a candidate column: a convex combination of the
+# members' values lies in [min, max] up to rounding of a few ulps of the
+# largest magnitude (far inside 1e-9 of it), and the smallest normal covers
+# rounding among subnormals.
+_BOUND_SLACK = 1e-9
+_BOUND_TINY = np.finfo(np.float64).tiny
 
 
 def _candidate_columns(rows: np.ndarray, class_probs: np.ndarray) -> np.ndarray:
@@ -126,37 +138,56 @@ def _candidate_columns(rows: np.ndarray, class_probs: np.ndarray) -> np.ndarray:
 
 def _grid_correct_counts(
     grid: np.ndarray,
-    probs: np.ndarray,
+    class_probs: np.ndarray,
     sums: np.ndarray,
     labels: np.ndarray,
     cls: int,
 ) -> np.ndarray:
-    """Correct probe predictions with each grid row as class ``cls``'s weights.
+    """Correct probe predictions (as floats) with each grid row as class
+    ``cls``'s weights.
 
-    Only column ``cls`` of ``sums`` varies across the grid. argmax takes the
-    first maximum, so a sample is predicted ``cls`` exactly when the
-    candidate beats every earlier column and matches every later one;
-    otherwise its prediction is the argmax of the fixed other columns. Only
+    ``class_probs`` is the members' (members x samples) class-``cls``
+    probabilities and ``sums`` the class-major (classes x samples) weighted
+    sums; only row ``cls`` of ``sums`` varies across the grid. argmax takes
+    the first maximum, so a sample is predicted ``cls`` exactly when the
+    candidate beats every earlier class and matches every later one;
+    otherwise its prediction is the argmax of the fixed other classes. Only
     samples labelled ``cls``, or already right without it, can be correct.
+
+    A candidate lies within the members' smallest and largest probability,
+    up to rounding, so a sample whose bounds lose (or win) against the other
+    classes loses (or wins) under every grid row and counts as a constant;
+    only the contested rest is scored against the grid.
     """
-    left = sums[:, :cls].max(axis=1, initial=-np.inf)
-    right = sums[:, cls + 1 :].max(axis=1, initial=-np.inf)
-    others = np.delete(sums, cls, axis=1).argmax(axis=1)
-    others += others >= cls
-    hit = np.flatnonzero(labels == cls)
-    kept = np.flatnonzero(others == labels)
-    samples = np.concatenate([hit, kept])
-    class_probs = probs[:, samples, cls]
+    left = sums[:cls].max(axis=0, initial=-np.inf)
+    right = sums[cls + 1 :].max(axis=0, initial=-np.inf)
+    # already right without cls: the label's column is the first maximum of
+    # the other classes, so it ties none of the classes before it
+    label_sums = sums.take(labels * labels.size + np.arange(labels.size))
+    tops = np.flatnonzero((label_sums >= np.maximum(left, right)) & (labels != cls))
+    earlier = np.arange(sums.shape[0])[:, None] < labels[tops]
+    earlier[cls] = False
+    kept = tops[~(earlier & (sums.take(tops, axis=1) >= label_sums[tops])).any(axis=0)]
+    samples = np.concatenate([np.flatnonzero(labels == cls), kept])
+    # a win gains a sample labelled cls and loses a kept one
+    signs = np.repeat([1.0, -1.0], [samples.size - kept.size, kept.size])
+    # a candidate c wins when c > left and c >= right, that is c > threshold
     left, right = left[samples], right[samples]
-    counts = np.empty(grid.shape[0], dtype=np.int64)
-    for start in range(0, grid.shape[0], _GRID_BLOCK_ROWS):
-        cand = _candidate_columns(grid[start : start + _GRID_BLOCK_ROWS], class_probs)
-        wins = (cand > left) & (cand >= right)
-        counts[start : start + cand.shape[0]] = (
-            kept.size
-            + wins[:, : hit.size].sum(axis=1)
-            - wins[:, hit.size :].sum(axis=1)
-        )
+    threshold = np.where(left >= right, left, np.nextafter(right, -np.inf))
+    class_probs = class_probs.take(samples, axis=1)
+    low, high = class_probs.min(axis=0), class_probs.max(axis=0)
+    slack = np.maximum(-low, high) * _BOUND_SLACK + _BOUND_TINY
+    always = low - slack > threshold
+    contested = np.flatnonzero(~always & (high + slack > threshold))
+    counts = np.full(grid.shape[0], kept.size + always @ signs)
+    if not contested.size:
+        return counts
+    signs, threshold = signs[contested], threshold[contested]
+    class_probs = class_probs.take(contested, axis=1)
+    block = max(1, _GRID_BLOCK_CELLS // contested.size)
+    for start in range(0, grid.shape[0], block):
+        wins = _candidate_columns(grid[start : start + block], class_probs) > threshold
+        counts[start : start + block] += wins @ signs
     return counts
 
 
@@ -173,13 +204,16 @@ def optimize_adaptive_weights(
     uniform.
 
     Each class is scored against the whole grid at once, in blocks of grid
-    rows, from a running copy of the weighted class sums. The result is
-    the same, bit for bit, as scoring every row with ``adaptive_accuracy``:
-    a candidate column is accumulated member by member with the rounding
-    of einsum, the other columns stay fixed during the trial so the maxima
-    of the columns before and after the class decide the first-index
-    argmax, and accuracies are the same ``count / n`` that ``np.mean``
-    computes.
+    rows, from a running class-major copy of the weighted class sums, and
+    only on the probe rows whose prediction some grid row can still flip.
+    The result is the same, bit for bit, as scoring every grid row with
+    ``adaptive_accuracy``: a candidate column is accumulated member by
+    member with the rounding of einsum, the other columns stay fixed during
+    the trial so the maxima of the columns before and after the class
+    decide the first-index argmax, and accuracies are the same ``count / n``
+    that ``np.mean`` computes. A class is scored again only once another
+    class's column has changed since its last scoring: its scores read only
+    the other columns, so until then it would pick the row it holds.
     """
     probs, labels = _labelled_stack(probs, labels)
     m, n, num_classes = probs.shape
@@ -187,19 +221,25 @@ def optimize_adaptive_weights(
     if m == 1:
         return weights
     grid = _simplex_grid(m)
+    labels = labels.astype(np.intp, copy=False)
     current = adaptive_accuracy(probs, weights, labels)
-    sums = _class_sums(probs, weights)
+    by_class = np.ascontiguousarray(probs.transpose(2, 0, 1))
+    sums = np.ascontiguousarray(_class_sums(probs, weights).T)
+    stale = [True] * num_classes
     for _ in range(ADAPTIVE_MAX_SWEEPS):
         improved = False
         for cls in range(num_classes):
-            accs = _grid_correct_counts(grid, probs, sums, labels, cls) / n
+            if not stale[cls]:
+                continue
+            stale[cls] = False
+            accs = _grid_correct_counts(grid, by_class[cls], sums, labels, cls) / n
             best = int(np.argmax(accs))
             if accs[best] > current:
                 weights[cls] = grid[best]
-                column = _candidate_columns(grid[best : best + 1], probs[:, :, cls])
-                sums[:, cls] = column[0]
+                sums[cls] = _candidate_columns(grid[best : best + 1], by_class[cls])[0]
                 current = float(accs[best])
                 improved = True
+                stale = [c != cls for c in range(num_classes)]
         if not improved:
             break
     return weights

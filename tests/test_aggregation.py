@@ -7,6 +7,7 @@ import pytest
 
 from test_ml_core import check_probability_matrix
 
+from dfedsim import aggregation
 from dfedsim.aggregation import (
     ADAPTIVE_GRID_STEP,
     ADAPTIVE_MAX_SWEEPS,
@@ -90,6 +91,29 @@ def test_adaptive_and_meta_need_one_label_per_probe_row():
         with pytest.raises(DimensionMismatch):
             optimize_adaptive_weights(probs, labels)
         with pytest.raises(DimensionMismatch):
+            train_meta(probs, labels, cfg)
+
+
+def test_adaptive_and_meta_need_a_probe_row(recwarn):
+    probs, labels = [np.empty((0, 3))] * 2, np.empty(0, dtype=int)
+    cfg = ClassifierConfig(input_dim=1, hidden_units=0, num_classes=3, epochs=1, seed=5)
+    with pytest.raises(EmptyDataset):
+        optimize_adaptive_weights(probs, labels)
+    with pytest.raises(EmptyDataset):
+        train_meta(probs, labels, cfg)
+    assert not recwarn.list
+
+
+def test_adaptive_and_meta_need_labels_among_the_classes():
+    rng = np.random.default_rng(620)
+    probs = make_probs(rng, 2)
+    cfg = ClassifierConfig(input_dim=1, hidden_units=0, num_classes=3, epochs=1, seed=5)
+    for bad in (-1, 3):
+        labels = make_labels(rng)
+        labels[7] = bad
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            optimize_adaptive_weights(probs, labels)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
             train_meta(probs, labels, cfg)
 
 
@@ -242,6 +266,62 @@ def test_grid_scoring_matches_the_per_row_search_bit_for_bit():
         expected = _per_row_adaptive_weights(probs, labels)
         got = optimize_adaptive_weights(probs, labels)
         assert got.tobytes() == expected.tobytes(), f"trial {trial}"
+
+
+def _identical_members_with_ties(rng, m, n, classes):
+    """m copies of one member whose top class ties another class on about
+    half the rows. A grid row's weighted sum of equal values rounds to either
+    side of that value, so a tied row is won or lost by one ulp."""
+    logits = rng.normal(scale=2.0, size=(n, classes))
+    top = logits.argmax(axis=1)
+    other = (top + rng.integers(1, classes, size=n)) % classes
+    tied = np.flatnonzero(rng.random(n) < 0.5)
+    logits[tied, other[tied]] = logits[tied, top[tied]]
+    return np.stack([softmax(logits)] * m)
+
+
+def test_grid_scoring_keeps_rounding_slack_on_tied_identical_members():
+    # the members' min and max bound every candidate only up to rounding:
+    # bounds without slack call these tied rows won or lost for every grid row
+    rng = np.random.default_rng(618)
+    for trial in range(120):
+        m = 3 if trial % 10 == 0 else 2
+        classes = int(rng.integers(2, 6))
+        n = int(rng.integers(10, 60))
+        probs = _identical_members_with_ties(rng, m, n, classes)
+        labels = rng.integers(0, classes, size=n)
+        expected = _per_row_adaptive_weights(probs, labels)
+        got = optimize_adaptive_weights(probs, labels)
+        assert got.tobytes() == expected.tobytes(), f"trial {trial}"
+
+
+def test_grid_search_rescores_a_class_only_after_another_column_changed(monkeypatch):
+    # a class's scores read only the other class columns of the running sums
+    # (class-major), so scoring it again before one of them changed is waste
+    scored = []
+    score = aggregation._grid_correct_counts
+
+    def recording(grid, class_probs, sums, labels, cls):
+        scored.append((cls, sums.copy()))
+        return score(grid, class_probs, sums, labels, cls)
+
+    monkeypatch.setattr(aggregation, "_grid_correct_counts", recording)
+    rng = np.random.default_rng(619)
+    for trial in range(6):
+        m, classes, n = 2 + trial % 2, 3 + trial % 3, 120
+        logits = rng.normal(scale=2.0, size=(m, n, classes))
+        probs = np.stack([softmax(z) for z in logits])
+        labels = rng.integers(0, classes, size=n)
+        scored.clear()
+        got = optimize_adaptive_weights(probs, labels)
+        assert got.tobytes() == _per_row_adaptive_weights(probs, labels).tobytes()
+        assert np.any(got != 1.0 / m), f"trial {trial}: no class column changed"
+        last = {}
+        for cls, sums in scored:
+            others = np.arange(classes) != cls
+            if cls in last:
+                assert not np.array_equal(sums[others], last[cls][others]), f"trial {trial}"
+            last[cls] = sums
 
 
 def test_adaptive_average_is_row_stochastic():

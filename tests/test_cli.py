@@ -4,6 +4,7 @@ Every test drives run_cli() in process with a shrunken config so the
 whole module stays fast; stdout/stderr go through capsys.
 """
 
+import copy
 import csv
 import dataclasses
 import json
@@ -438,10 +439,27 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 
-def test_out_of_memory_exits_three_with_one_line(tmp_path):
-    # validate accepts this width, and round 0 asks for a 20 GiB weight matrix
+@pytest.mark.parametrize(
+    "leaf, size",
+    [
+        # round 0 asks for a 20 GiB weight matrix
+        ("hidden_units", 10**7),
+        # the data build's first large array needs 4 to 21 GiB
+        ("data.test_samples", 10**10),
+        ("data.partition.samples_per_device", 10**9),
+        ("data.latent_factors", 10**7),
+    ],
+)
+def test_out_of_memory_exits_three_with_one_line(tmp_path, leaf, size):
+    # validate accepts each of these sizes, and no config-time bound is set:
+    # the allocation fails cleanly at run time instead
     cfg = tmp_path / "config.json"
-    config = {"kind": "cvfl", "rounds": 1, "hidden_units": 10_000_000, "data": BLOBS_40}
+    config = {"kind": "cvfl", "rounds": 1, "data": copy.deepcopy(BLOBS_40)}
+    *parents, key = leaf.split(".")
+    node = config
+    for part in parents:
+        node = node[part]
+    node[key] = size
     cfg.write_text(json.dumps(config), encoding="utf-8")
     argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
     result = subprocess.run(
@@ -454,7 +472,7 @@ def test_out_of_memory_exits_three_with_one_line(tmp_path):
     )
     lines = result.stderr.splitlines()
     assert result.returncode == 3, result.stderr
-    assert len(lines) == 1 and lines[0].startswith("dfedsim: runtime:")
+    assert len(lines) == 1 and lines[0].startswith("dfedsim: runtime: Unable to allocate")
     assert run_cli(["validate", "--config", str(cfg)]) == 0
 
 
