@@ -13,16 +13,15 @@ among all feasible partitions it returns the one minimizing, in order,
 
 so the output is reproducible and checkable against exhaustive
 enumeration. Distance totals within ``COST_TOL`` of each other count as
-ties and fall through to the next level.
+ties and fall through to the next level. One depth-first search over each
+device's anchor finds the optimum, and it keeps the smaller encoding on
+every tie, so the canonical tie-break needs no second pass.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DimensionMismatch, NoConnectableDevice
 from .topology import DeviceNode, distance_m
@@ -74,165 +73,6 @@ def _dist_tie(a: float, b: float) -> bool:
     return abs(a - b) <= COST_TOL * max(1.0, abs(a), abs(b))
 
 
-def _lex_fix(
-    seed_ids: tuple[int, ...],
-    rest: list[int],
-    dist: dict[tuple[int, int], float],
-    in_range: dict[tuple[int, int], bool],
-    max_size: int,
-    target_iso: int,
-    target_dist: float,
-) -> dict[int, int]:
-    """Re-derive the optimum while fixing devices in id order to their
-    smallest workable anchor, yielding the canonical tie-broken solution."""
-    capacity = {s: max_size - 1 for s in seed_ids}
-    iso_left = target_iso
-    dist_left = target_dist
-    fixed: dict[int, int] = {}
-    for pos, r in enumerate(rest):
-        remaining = rest[pos + 1 :]
-        options = sorted(
-            [s for s in seed_ids if capacity[s] > 0 and in_range[(r, s)]] + [r]
-        )
-        chosen = None
-        for candidate in options:
-            if candidate == r:
-                cand_iso, cand_dist = 1, 0.0
-                cand_capacity = dict(capacity)
-            else:
-                cand_iso, cand_dist = 0, dist[(r, candidate)]
-                cand_capacity = dict(capacity)
-                cand_capacity[candidate] -= 1
-            seeds_left = tuple(s for s in seed_ids if cand_capacity[s] >= 0)
-            sub_iso, sub_dist, _ = _solve_seed_set_with_capacity(
-                seeds_left, remaining, dist, in_range, cand_capacity
-            )
-            if cand_iso + sub_iso == iso_left and _dist_tie(
-                cand_dist + sub_dist, dist_left
-            ):
-                chosen = candidate
-                capacity = cand_capacity
-                iso_left -= cand_iso
-                dist_left -= cand_dist
-                break
-        if chosen is None:  # numerically drifted; fall back to any optimum
-            _, _, anchors = _solve_seed_set_with_capacity(
-                tuple(seed_ids), rest[pos:], dist, in_range, capacity
-            )
-            fixed.update(anchors)
-            return fixed
-        fixed[r] = chosen
-    return fixed
-
-
-def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], list[int]]:
-    """Exact minimum-cost assignment of each row of ``cost`` to its own column.
-
-    The shortest-augmenting-path form of the Hungarian method: rows join
-    one at a time, each along a cheapest path in reduced costs, so the
-    partial assignment stays optimal throughout. An ``inf`` entry forbids
-    its pair. Returns (rows, columns), rows ascending. Raises ValueError
-    when no assignment of every row avoids the forbidden pairs, as when
-    rows outnumber columns.
-    """
-    n, m = cost.shape
-    a = cost.tolist()
-    inf = math.inf
-    u = [0.0] * n  # row potentials
-    v = [0.0] * m  # column potentials
-    col_of = [-1] * n
-    row_of = [-1] * m
-    for start in range(n):
-        # Dijkstra from the joining row over reduced costs, until it
-        # reaches a column no row holds yet
-        reach = [inf] * m  # cheapest path cost to each column so far
-        via = [-1] * m  # the row a column's cheapest path arrives from
-        free = list(range(m))
-        rows_seen = []
-        cols_seen = []
-        i, dist = start, 0.0
-        while True:
-            rows_seen.append(i)
-            row, base = a[i], dist - u[i]
-            best, k = inf, -1
-            for idx, j in enumerate(free):
-                d = base + row[j] - v[j]
-                if d < reach[j]:
-                    reach[j] = d
-                    via[j] = i
-                # on a tie prefer a column no row holds: the path ends there
-                if reach[j] < best or (reach[j] == best and row_of[j] < 0):
-                    best, k = reach[j], idx
-            if best == inf:
-                raise ValueError("cost matrix is infeasible")
-            dist = best
-            j = free.pop(k)
-            cols_seen.append(j)
-            if row_of[j] < 0:
-                break
-            i = row_of[j]
-        # keep reduced costs non-negative and zero along matched pairs
-        u[start] += dist
-        for r in rows_seen[1:]:
-            u[r] += dist - reach[col_of[r]]
-        for c in cols_seen:
-            v[c] -= dist - reach[c]
-        while True:  # flip the path: each row on it takes the next column
-            i = via[j]
-            row_of[j] = i
-            col_of[i], j = j, col_of[i]
-            if i == start:
-                break
-    return list(range(n)), col_of
-
-
-def _solve_seed_set_with_capacity(
-    seed_ids: tuple[int, ...],
-    rest: list[int],
-    dist: dict[tuple[int, int], float],
-    in_range: dict[tuple[int, int], bool],
-    capacity: dict[int, int],
-) -> tuple[int, float, dict[int, int]]:
-    """Optimal capacitated assignment of ``rest`` onto the given seeds.
-
-    ``capacity`` maps each seed to the members it can still take. Returns
-    (isolated count, total distance, anchor map for rest) with the
-    minimum-isolation assignment of minimum distance; isolation is always
-    open, so an assignment always exists. Anchor map values are seed ids,
-    or the device's own id when isolated.
-    """
-    n = len(rest)
-    if n == 0:
-        return 0, 0.0, {}
-    # one column per member a seed can still take, and it can take no more than rest
-    seed_cols = [s for s in seed_ids for _ in range(min(capacity[s], n))]
-    # only in-range pairs can be assigned, and an out-of-range distance near
-    # the float range would overflow the penalty
-    max_dist = max(
-        (dist[(r, s)] for r in rest for s in seed_ids if in_range[(r, s)]), default=0.0
-    )
-    penalty = (n + 1) * (max_dist + 1.0)
-    cost = np.full((n, len(seed_cols) + n), np.inf)
-    for i, r in enumerate(rest):
-        for j, s in enumerate(seed_cols):
-            if in_range[(r, s)]:
-                cost[i, j] = dist[(r, s)]
-        cost[i, len(seed_cols) + i] = penalty
-    rows, cols = linear_sum_assignment(cost)
-    anchors: dict[int, int] = {}
-    isolated = 0
-    total = 0.0
-    for i, j in zip(rows, cols):
-        r = rest[i]
-        if j >= len(seed_cols):
-            anchors[r] = r
-            isolated += 1
-        else:
-            anchors[r] = seed_cols[j]
-            total += cost[i, j]
-    return isolated, total, anchors
-
-
 def _solve_fleet(
     by_id: dict[int, DeviceNode],
     connectable: dict[int, bool],
@@ -241,57 +81,115 @@ def _solve_fleet(
 ) -> dict[int, int]:
     """Optimal anchor map of the fleet: each device id maps to its
     cluster's seed, or to itself when isolated. At least one device must
-    be seed-eligible."""
+    be seed-eligible.
+
+    A depth-first branch and bound fixes each device's anchor in id order:
+    itself (a seed if eligible, isolated otherwise) or an eligible device
+    in range with room, which becomes a seed if it is not one yet. A
+    branch is cut only when its lower bound is strictly worse than the
+    best leaf so far, and a leaf that ties the best wins on the smaller
+    encoding, so the canonical optimum comes out of the search itself.
+    """
     ids = sorted(by_id)
+    n = len(ids)
     max_size = policy.max_size
-    seeds_avail = [d for d in ids if connectable[d]]
+    eligible = [connectable[d] for d in ids]
+    # each device's possible hosts, nearest first: (distance, index) of every
+    # other eligible device in range; a cap of one leaves no host room at all
+    hosts: list[list[tuple[float, int]]] = [[] for _ in ids]
+    if max_size > 1:
+        for i, r in enumerate(ids):
+            for j, s in enumerate(ids):
+                if eligible[j] and j != i:
+                    d = distance_m(by_id[r].pos, by_id[s].pos)
+                    if max_member_distance_m is None or d <= max_member_distance_m:
+                        hosts[i].append((d, j))
+            hosts[i].sort()
 
-    dist: dict[tuple[int, int], float] = {}
-    in_range: dict[tuple[int, int], bool] = {}
-    for r in ids:
-        for s in seeds_avail:
-            d = distance_m(by_id[r].pos, by_id[s].pos)
-            dist[(r, s)] = d
-            in_range[(r, s)] = (
-                max_member_distance_m is None or d <= max_member_distance_m
-            )
+    room = [-1] * n  # a seed's free places; -1 for a device that is no seed
+    anchor = list(range(n))
+    best: list = []  # [isolated, clusters, distance, encoding] of the best leaf
 
-    def canonical(candidate: tuple[int, int, float, tuple[int, ...], list[int]]):
-        iso, _, total, seed_ids, rest = candidate
-        anchors = _lex_fix(seed_ids, rest, dist, in_range, max_size, iso, total)
-        for s in seed_ids:
-            anchors[s] = s
-        return tuple(anchors[d] for d in ids)
+    def worse_than_best(i: int, iso: int, k: int, dist: float) -> bool:
+        """Whether every leaf below the first i placements is strictly worse."""
+        spare = sum(free for free in room if free > 0)
+        forced = 0  # devices left with no host in range and no seed of their own
+        member_d: list[float] = []  # nearest-host distances, non-eligible
+        seed_d: list[float] = []  # nearest-host distances, eligible
+        for r in range(i, n):
+            if room[r] >= 0:
+                continue  # a seed already, placed in its own cluster
+            near = math.inf
+            for d, j in hosts[r]:
+                if room[j] > 0 or (room[j] < 0 and j >= i):
+                    near = d
+                    break
+            if eligible[r]:
+                seed_d.append(near)
+            elif near < math.inf:
+                member_d.append(near)
+            else:
+                forced += 1
+        n_eligible = len(seed_d)
+        need = len(member_d) + n_eligible
+        # new seeds bring max_size places each, themselves included
+        overflow = max(0, need - spare - max_size * n_eligible)
+        iso_lb = iso + forced + overflow
+        # an eligible device with no host left must seed
+        k_lb = k + max(seed_d.count(math.inf), -((spare + overflow - need) // max_size))
+        b_iso, b_k, b_dist, _ = best
+        if (iso_lb, k_lb) != (b_iso, b_k):
+            return (iso_lb, k_lb) > (b_iso, b_k)
+        # at the best's counts, the overflow isolates and only b_k - k of the
+        # eligible devices left seed; everyone else joins a host
+        member_d.sort()
+        seed_d.sort()
+        joiners = max(0, n_eligible - (b_k - k))
+        dist_lb = dist + sum(member_d[: len(member_d) - overflow]) + sum(seed_d[:joiners])
+        return dist_lb > b_dist and not _dist_tie(dist_lb, b_dist)
 
-    # the best seed set so far, and its canonical encoding once a tie needs it
-    best: tuple[int, int, float, tuple[int, ...], list[int]] | None = None
-    best_encoding: tuple[int, ...] | None = None
-    for k in range(1, len(seeds_avail) + 1):
-        if best is not None and best[0] == 0:
-            break  # nothing isolates fewer than none, and k only grows
-        for seed_ids in itertools.combinations(seeds_avail, k):
-            rest = [d for d in ids if d not in seed_ids]
-            iso, total, _ = _solve_seed_set_with_capacity(
-                seed_ids, rest, dist, in_range, {s: max_size - 1 for s in seed_ids}
-            )
-            candidate = (iso, k, total, seed_ids, rest)
-            if best is None or (iso, k) < best[:2]:
-                best, best_encoding = candidate, None
-                continue
-            if (iso, k) > best[:2]:
-                continue
-            if not _dist_tie(total, best[2]):
-                if total < best[2]:
-                    best, best_encoding = candidate, None
-                continue
-            if best_encoding is None:
-                best_encoding = canonical(best)
-            encoding = canonical(candidate)
-            if encoding < best_encoding:
-                best, best_encoding = candidate, encoding
-    if best_encoding is None:
-        best_encoding = canonical(best)
-    return dict(zip(ids, best_encoding))
+    def visit(i: int, iso: int, k: int, dist: float) -> None:
+        if i == n:
+            encoding = tuple(anchor)
+            if best:
+                b_iso, b_k, b_dist, b_encoding = best
+                if (iso, k) != (b_iso, b_k):
+                    if (iso, k) > (b_iso, b_k):
+                        return
+                elif _dist_tie(dist, b_dist):
+                    if encoding > b_encoding:
+                        return
+                elif dist > b_dist:
+                    return
+            best[:] = [iso, k, dist, encoding]
+            return
+        if best and worse_than_best(i, iso, k, dist):
+            return
+        anchor[i] = i
+        if room[i] >= 0:  # a seed that an earlier device joined
+            visit(i + 1, iso, k, dist)
+            return
+        for d, j in hosts[i]:
+            if room[j] > 0:
+                room[j] -= 1
+                anchor[i] = j
+                visit(i + 1, iso, k, dist + d)
+                room[j] += 1
+            elif room[j] < 0 and j > i:  # an eligible device not yet placed
+                room[j] = max_size - 2
+                anchor[i] = j
+                visit(i + 1, iso, k + 1, dist + d)
+                room[j] = -1
+        anchor[i] = i
+        if eligible[i]:
+            room[i] = max_size - 1
+            visit(i + 1, iso, k + 1, dist)
+            room[i] = -1
+        else:
+            visit(i + 1, iso + 1, k, dist)
+
+    visit(0, 0, 0, 0.0)
+    return {ids[i]: ids[a] for i, a in enumerate(best[3])}
 
 
 def form_clusters(
@@ -307,8 +205,8 @@ def form_clusters(
     Devices that no valid cluster can take (out of range or over capacity)
     come back as singleton clusters flagged non-participating.
 
-    Runs in time exponential in the number of BS-connectable devices;
-    intended for small fleets (n <= ~10).
+    Runs in time exponential in the number of devices; intended for small
+    fleets (n <= ~10).
 
     Raises NoConnectableDevice when no device can reach the BS at all.
     """

@@ -78,6 +78,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.rounds < 0:
             raise ConfigError("rounds must be >= 0")
+        if self.seed < 0:
+            # numpy seed sequences take only non-negative entropy
+            raise ConfigError("seed must be >= 0")
         if not self.devices:
             raise ConfigError("need at least one device")
         ids = [d.id for d in self.devices]

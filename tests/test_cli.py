@@ -323,6 +323,7 @@ MISTYPED = [
     ({"hidden_units": 2.5}, "config.hidden_units must be an integer"),
     ({"batch_size": 7.5}, "config.batch_size must be an integer"),
     ({"seed": 1.5}, "config.seed must be an integer"),
+    ({"seed": -1}, "seed must be >= 0"),
     # a bool is no integer here, although Python counts it as one
     ({"local_epochs": True}, "config.local_epochs must be an integer"),
     ({"link": {"delay_per_meter_s": True}}, "config.link.delay_per_meter_s must be a finite"),
