@@ -26,13 +26,11 @@ from .data import (
     DataPlan,
     DatasetSchema,
     DevicePartition,
-    FeatureSubsetPlan,
     PartitionPlan,
     gen_ring_sectors,
     gen_synthetic,
     load_csv,
     partition,
-    select_features,
     write_csv,
 )
 from .energy import EnergyParams, EnergyState, apply_round, round_energy
@@ -40,7 +38,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     EmptyDataset,
-    IndexOutOfRange,
     NoConnectableDevice,
     NoEligibleHead,
     ParseError,

@@ -28,14 +28,11 @@ import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .config import ScenarioConfig, ScenarioKind
 from .data import _generate, write_csv
 from .errors import (
     ConfigError,
     EmptyDataset,
-    IndexOutOfRange,
     ParseError,
     SchemaMismatch,
     SimulationError,
@@ -54,7 +51,7 @@ SUMMARY_HEADER = "scenario,final_accuracy,total_energy"
 SWEEP_HEADER = "delay_per_meter_s,scenario,total_energy"
 DEFAULT_SWEEP = "0.001,0.0015,0.002,0.0025,0.003"
 
-_DATA_ERRORS = (ParseError, SchemaMismatch, EmptyDataset, IndexOutOfRange)
+_DATA_ERRORS = (ParseError, SchemaMismatch, EmptyDataset)
 
 
 # ---------------------------------------------------------- config plumbing
@@ -415,10 +412,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        # a diverging run reports itself once, as TrainingDiverged, and not
-        # also through numpy's overflow warnings on the way there
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.fn(args)
+        return args.fn(args)
     except ConfigError as exc:
         print(f"dfedsim: config: {exc}", file=sys.stderr)
         return 1

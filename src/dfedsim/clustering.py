@@ -206,7 +206,7 @@ def form_clusters(
     come back as singleton clusters flagged non-participating.
 
     Runs in time exponential in the number of devices; intended for small
-    fleets (n <= ~10).
+    fleets, and ``config.MAX_CLUSTERED_DEVICES`` caps a clustered run's.
 
     Raises NoConnectableDevice when no device can reach the BS at all.
     """

@@ -1,5 +1,6 @@
 """Dataset handling: CSV ingestion, a synthetic surrogate generator,
-per-device partitioning, and per-device feature subsetting.
+per-device partitioning, and the per-device feature-column draw of
+heterogeneous runs.
 
 The synthetic generator draws class-conditional Gaussians through a shared
 latent-factor projection, so features are correlated and any moderately
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyDataset,
-    IndexOutOfRange,
-    ParseError,
-    SchemaMismatch,
-)
+from .errors import ConfigError, EmptyDataset, ParseError, SchemaMismatch
 from .rngs import substream
+
+# Feature scales and the principal-plane covariance square the features, so
+# a larger value overflows them; both data sources reject one.
+MAX_FEATURE_MAGNITUDE = 1e150
 
 
 @dataclass(frozen=True)
@@ -49,45 +49,9 @@ class PartitionPlan:
 
 
 @dataclass(frozen=True)
-class FeatureSubsetPlan:
-    """Per-device ordered feature-index lists for heterogeneous runs."""
-
-    indices: tuple[tuple[int, ...], ...]
-    subset_size: int = 50
-
-    def __post_init__(self):
-        if self.subset_size < 1:
-            raise ValueError("subset_size must be >= 1")
-        object.__setattr__(
-            self, "indices", tuple(tuple(int(i) for i in row) for row in self.indices)
-        )
-        for row in self.indices:
-            if not row:
-                raise ValueError("every device needs at least one feature index")
-
-    @classmethod
-    def random(
-        cls, schema: DatasetSchema, devices: int, subset_size: int = 50, seed: int = 0
-    ) -> "FeatureSubsetPlan":
-        """Distinct random feature indices per device, drawn from the seed."""
-        if subset_size > schema.num_features:
-            raise ValueError("subset_size cannot exceed the number of features")
-        rng = substream(seed, "feature-subsets")
-        rows = tuple(
-            tuple(
-                int(i)
-                for i in rng.choice(schema.num_features, size=subset_size, replace=False)
-            )
-            for _ in range(devices)
-        )
-        return cls(indices=rows, subset_size=subset_size)
-
-
-@dataclass(frozen=True)
 class DevicePartition:
     features: np.ndarray
     labels: np.ndarray
-    with_replacement: bool = False
 
 
 def _parse_label_column(schema: DatasetSchema, header: list[str]) -> int:
@@ -110,7 +74,9 @@ def load_csv(path, schema: DatasetSchema) -> tuple[np.ndarray, np.ndarray]:
     """Read a one-header CSV into a feature matrix and integer labels.
 
     Label values are mapped to [0, num_classes) by sorted label-name
-    order, so the encoding is stable across runs and platforms.
+    order, so the encoding is stable across runs and platforms. A feature
+    cell that is not finite or lies beyond ``MAX_FEATURE_MAGNITUDE`` is a
+    ParseError.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -139,11 +105,19 @@ def load_csv(path, schema: DatasetSchema) -> tuple[np.ndarray, np.ndarray]:
                 if col == label_col:
                     continue
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(
                         f"non-numeric feature value {cell!r}", row=line_no, column=col
                     ) from None
+                if not abs(value) <= MAX_FEATURE_MAGNITUDE:  # nan fails it too
+                    raise ParseError(
+                        f"feature value {cell!r} is not finite or beyond "
+                        f"{MAX_FEATURE_MAGNITUDE:g} in magnitude",
+                        row=line_no,
+                        column=col,
+                    )
+                values.append(value)
             rows.append(values)
             raw_labels.append(record[label_col])
     if not rows:
@@ -294,7 +268,7 @@ def partition(
     the union of all devices covers everything while any strict subset of
     devices can leave a blind region. Without-replacement (disjoint)
     sampling is used whenever the dataset is large enough; otherwise
-    sampling is with replacement and the result is flagged.
+    sampling is with replacement.
     """
     x = np.asarray(features)
     y = np.asarray(labels)
@@ -340,20 +314,17 @@ def partition(
                     arc_rows = np.arange(x.shape[0])
                 chosen[d] += arc_rows[rng.integers(0, arc_rows.shape[0], size=quota[d])].tolist()
             rows.append(np.array(chosen[d], dtype=np.int64))
-        replaced = [q > 0 for q in quota]
     elif total <= x.shape[0]:
         order = rng.permutation(x.shape[0])
         rows = [
             order[d * plan.samples_per_device : (d + 1) * plan.samples_per_device]
             for d in range(plan.devices)
         ]
-        replaced = [False] * plan.devices
     else:
         rows = [
             rng.integers(0, x.shape[0], size=plan.samples_per_device)
             for _ in range(plan.devices)
         ]
-        replaced = [True] * plan.devices
     # One gather for all devices, so the partitions are views of one block.
     # Per-device copies fall under malloc's adaptive mmap threshold once a
     # first set has been freed and land on the heap, where one small block
@@ -361,26 +332,18 @@ def partition(
     idx = np.concatenate(rows)
     xs = np.split(x[idx], plan.devices)
     ys = np.split(y[idx], plan.devices)
-    return [DevicePartition(a, b, r) for a, b, r in zip(xs, ys, replaced)]
+    return [DevicePartition(a, b) for a, b in zip(xs, ys)]
 
 
-def select_features(
-    features: np.ndarray, plan: FeatureSubsetPlan, device_index: int
-) -> np.ndarray:
-    """Project the feature matrix onto one device's column list."""
-    x = np.asarray(features)
-    if not 0 <= device_index < len(plan.indices):
-        raise IndexOutOfRange(
-            f"device index {device_index} outside plan of {len(plan.indices)} devices"
-        )
-    cols = plan.indices[device_index]
-    for c in cols:
-        if not 0 <= c < x.shape[1]:
-            raise IndexOutOfRange(
-                f"feature index {c} outside matrix with {x.shape[1]} columns"
-            )
-    # take, unlike x[:, cols], returns a fresh C-ordered matrix
-    return x.take(list(cols), axis=1)
+def _feature_subsets(
+    num_features: int, devices: int, subset_size: int, seed: int
+) -> list[tuple[int, ...]]:
+    """Each device's distinct random feature columns, drawn from the seed."""
+    rng = substream(seed, "feature-subsets")
+    return [
+        tuple(int(i) for i in rng.choice(num_features, size=subset_size, replace=False))
+        for _ in range(devices)
+    ]
 
 
 @dataclass(frozen=True)
@@ -444,22 +407,33 @@ class DataPlan:
 
 
 def _generate(plan: DataPlan, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``samples`` rows of the plan's synthetic task."""
-    if plan.task == "sectors":
-        return gen_ring_sectors(
-            plan.schema,
-            samples,
-            seed=seed,
-            sectors=plan.sectors,
-            spread=plan.spread,
-            latent_factors=plan.latent_factors,
-            center_scale=plan.center_scale,
+    """Draw ``samples`` rows of the plan's synthetic task; a draw that
+    leaves the float range is a ConfigError."""
+    # overflow shows in the result, which is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if plan.task == "sectors":
+            features, labels = gen_ring_sectors(
+                plan.schema,
+                samples,
+                seed=seed,
+                sectors=plan.sectors,
+                spread=plan.spread,
+                latent_factors=plan.latent_factors,
+                center_scale=plan.center_scale,
+            )
+        else:
+            features, labels = gen_synthetic(
+                plan.schema,
+                samples,
+                seed=seed,
+                spread=plan.spread,
+                latent_factors=plan.latent_factors,
+                center_scale=plan.center_scale,
+            )
+    # min and max propagate nan, and need no array as large as the data
+    if not -MAX_FEATURE_MAGNITUDE <= features.min() <= features.max() <= MAX_FEATURE_MAGNITUDE:
+        raise ConfigError(
+            f"data.spread {plan.spread!r} and data.center_scale {plan.center_scale!r} "
+            f"generate features beyond {MAX_FEATURE_MAGNITUDE:g} in magnitude"
         )
-    return gen_synthetic(
-        plan.schema,
-        samples,
-        seed=seed,
-        spread=plan.spread,
-        latent_factors=plan.latent_factors,
-        center_scale=plan.center_scale,
-    )
+    return features, labels

@@ -108,9 +108,6 @@ class EnergyState:
     def remaining(self, node: int) -> float:
         return self.initial[node] - self.consumed[node]
 
-    def is_dead(self, node: int) -> bool:
-        return node in self.dead
-
     def alive(self) -> list[int]:
         return sorted(n for n in self.initial if n not in self.dead)
 

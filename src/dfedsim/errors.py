@@ -29,10 +29,6 @@ class SchemaMismatch(SimulationError):
     """A dataset file does not match the declared schema."""
 
 
-class IndexOutOfRange(SimulationError):
-    """A feature index refers to a column outside the dataset."""
-
-
 class ParseError(SimulationError):
     """A CSV cell could not be parsed; carries row/column diagnostics.
 

@@ -9,8 +9,7 @@ deterministic for a given config seed; minibatch shuffling depends only on
 (seed, epoch), never on data order. Equal-shaped networks of several
 devices train in one stacked SGD pass, and each comes out bit for bit as
 if it had trained alone. The parameter arrays of every network the
-trainers return are read-only, so callers may share one; ``copy`` gives a
-writable one.
+trainers return are read-only, so callers may share one.
 """
 
 from __future__ import annotations
@@ -78,11 +77,6 @@ class DenseNetwork:
             out = _activate(out @ layer.weights.T + layer.bias, layer.activation)
         return out
 
-    def copy(self) -> "DenseNetwork":
-        return DenseNetwork(
-            [Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
-
 
 def _as_matrix(features: np.ndarray, expected_dim: int) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
@@ -123,10 +117,7 @@ def predict_proba(net: DenseNetwork, features: np.ndarray) -> np.ndarray:
 
 def cross_entropy(net: DenseNetwork, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy treating the network output as logits."""
-    return _logit_cross_entropy(net.forward(features), labels)
-
-
-def _logit_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    logits = net.forward(features)
     y = np.asarray(labels).astype(int)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
@@ -240,7 +231,7 @@ def loss_gradients(
         post.append(out)
 
     if loss == "cross_entropy":
-        # softmax(out) and the loss of `_logit_cross_entropy`, sharing terms
+        # softmax(out) and the loss of `cross_entropy`, sharing terms
         shifted = out - out.max(axis=2, keepdims=True)
         delta = np.exp(shifted)
         norm = delta.sum(axis=2, keepdims=True)
@@ -495,15 +486,17 @@ def train_classifier(
             nets.append(_unfold_input_transform(net, mean, std))
 
     try:
-        trained = _sgd(
-            nets, xs, scales, ys,
-            config.epochs, config.learning_rate, config.batch_size,
-            [cfg.seed for cfg in configs], "classifier-shuffle",
-        )
-        folded = [
-            _read_only(_fold_input_transform(net, mean, std))
-            for net, (mean, std) in zip(trained, scales)
-        ]
+        # a step past the float range shows as a non-finite parameter
+        with np.errstate(over="ignore", invalid="ignore"):
+            trained = _sgd(
+                nets, xs, scales, ys,
+                config.epochs, config.learning_rate, config.batch_size,
+                [cfg.seed for cfg in configs], "classifier-shuffle",
+            )
+            folded = [
+                _read_only(_fold_input_transform(net, mean, std))
+                for net, (mean, std) in zip(trained, scales)
+            ]
     except ValueError as exc:  # DenseNetwork rejects a non-finite parameter
         raise TrainingDiverged(f"training diverged: {exc}") from exc
     return folded[0] if single else folded
@@ -548,19 +541,21 @@ def train_autoencoder(
     ]
     pairs = []
     try:
-        trained = _sgd(
-            nets, xs, scales, None,
-            config.epochs, config.learning_rate, AUTOENCODER_BATCH_SIZE,
-            [cfg.seed for cfg in configs], "autoencoder-shuffle",
-        )
-        for net, (mean, std) in zip(trained, scales):
-            enc_layer, dec_layer = net.layers
-            encoder = _fold_input_transform(DenseNetwork([enc_layer]), mean, std)
-            # Un-standardize the decoder output: x_raw = std * x_std + mean.
-            dec_w = dec_layer.weights * std[:, np.newaxis]
-            dec_b = dec_layer.bias * std + mean
-            decoder = DenseNetwork([Layer(dec_w, dec_b, "linear")])
-            pairs.append((_read_only(encoder), _read_only(decoder)))
+        # a step past the float range shows as a non-finite parameter
+        with np.errstate(over="ignore", invalid="ignore"):
+            trained = _sgd(
+                nets, xs, scales, None,
+                config.epochs, config.learning_rate, AUTOENCODER_BATCH_SIZE,
+                [cfg.seed for cfg in configs], "autoencoder-shuffle",
+            )
+            for net, (mean, std) in zip(trained, scales):
+                enc_layer, dec_layer = net.layers
+                encoder = _fold_input_transform(DenseNetwork([enc_layer]), mean, std)
+                # Un-standardize the decoder output: x_raw = std * x_std + mean.
+                dec_w = dec_layer.weights * std[:, np.newaxis]
+                dec_b = dec_layer.bias * std + mean
+                decoder = DenseNetwork([Layer(dec_w, dec_b, "linear")])
+                pairs.append((_read_only(encoder), _read_only(decoder)))
     except ValueError as exc:  # DenseNetwork rejects a non-finite parameter
         raise TrainingDiverged(f"training diverged: {exc}") from exc
     return pairs[0] if single else pairs

@@ -67,7 +67,7 @@ from .aggregation import (
 )
 from .clustering import ClusterAssignment
 from .config import AggregationMethod, ScenarioConfig, ScenarioKind
-from .data import FeatureSubsetPlan, _generate, load_csv, partition, select_features
+from .data import _feature_subsets, _generate, load_csv, partition
 from .errors import ConfigError
 from .ml_core import (
     AutoencoderConfig,
@@ -220,22 +220,18 @@ class _Run:
                 for device, rows in zip(ordered, shared)
             }
         plan = self.config.data
-        subset_plan = FeatureSubsetPlan.random(
-            self.schema,
-            devices=len(self.config.devices),
-            subset_size=plan.subset_size,
-            seed=self.config.seed,
+        subsets = _feature_subsets(
+            self.schema.num_features, len(ordered), plan.subset_size, self.config.seed
         )
         runtimes = [
             _DeviceRuntime(
                 device.id,
+                # take, unlike x[:, cols], returns a fresh C-ordered matrix
                 dataclasses.replace(
-                    rows,
-                    train_x=select_features(rows.train_x, subset_plan, index),
-                    feature_indices=subset_plan.indices[index],
+                    rows, train_x=rows.train_x.take(cols, axis=1), feature_indices=cols
                 ),
             )
-            for index, (device, rows) in enumerate(zip(ordered, shared))
+            for device, rows, cols in zip(ordered, shared, subsets)
         ]
         # every device's autoencoder is fitted in one stacked pass
         configs = [

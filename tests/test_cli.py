@@ -414,8 +414,6 @@ BLOBS_40 = {
     [
         ("cvfl", {"learning_rate": 1e308}),
         ("dbfl_heterogeneous", {"data": {**BLOBS_40, "ae_learning_rate": 1e308}}),
-        ("cvfl", {"data": {**BLOBS_40, "spread": 1e308}}),
-        ("cvfl", {"data": {**BLOBS_40, "center_scale": 1e308}}),
     ],
 )
 def test_diverging_training_exits_three_with_one_line(tmp_path, capsys, recwarn, kind, extra):
@@ -432,6 +430,69 @@ def test_diverging_training_exits_three_with_one_line(tmp_path, capsys, recwarn,
     assert lines[0].startswith("dfedsim: runtime: training diverged:")
     # numpy's overflow warnings on the way there would print more lines
     assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["spread", "center_scale"])
+def test_generated_data_beyond_the_float_range_exits_one_with_one_line(
+    tmp_path, capsys, recwarn, setting
+):
+    # validate accepts it, and building the dataset names the cause
+    cfg = tmp_path / "config.json"
+    config = {"kind": "cvfl", "rounds": 1, "data": {**BLOBS_40, setting: 1e308}}
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli(["validate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("dfedsim: config: data.spread ")
+    assert "data.center_scale" in lines[0]
+    assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan"])
+def test_a_non_finite_csv_cell_exits_two_with_one_line(tmp_path, capsys, cell):
+    schema = {"num_features": 3, "num_classes": 2}
+    data = {"schema": schema, "subset_size": 3, "latent_dim": 2}
+    cfg = write_config(tmp_path, extra={"kind": "cvfl", "data": data})
+    path = tmp_path / "data.csv"
+    path.write_text(f"f0,f1,f2,label\n1,2,3,a\n4,{cell},6,b\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli(["run", "--config", cfg, "--data", str(path), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("dfedsim: data:")
+    assert f"feature value '{cell}'" in lines[0] and "(row 3, column 1)" in lines[0]
+    assert not out.exists()
+
+
+def _fleet(size):
+    return [{"id": i, "pos": {"x": 2.0 * i, "y": 5.0}} for i in range(size)]
+
+
+def test_clustered_fleets_above_the_bound_exit_one_before_any_file(tmp_path, capsys):
+    for kind in ("dbfl_homogeneous", "dbfl_heterogeneous"):
+        cfg = write_config(tmp_path, extra={"kind": kind, "devices": _fleet(16)})
+        assert run_cli(["validate", "--config", cfg]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path, extra={"kind": kind, "devices": _fleet(17)})
+        assert run_cli(["validate", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            f"dfedsim: config: {kind} takes at most 16 devices, got 17: "
+            "cluster formation is exponential in the fleet"
+        ]
+    # cvfl forms no clusters, but compare also runs both dbfl kinds
+    cfg = write_config(tmp_path, extra={"kind": "cvfl", "devices": _fleet(17)})
+    assert run_cli(["validate", "--config", cfg]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(["compare", "--config", cfg, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dfedsim: config: dbfl_homogeneous")
     assert not out.exists()
 
 

@@ -1,22 +1,26 @@
 """CSV loading, synthetic generation, partitioning, feature subsets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dfedsim.data import (
+    MAX_FEATURE_MAGNITUDE,
+    DataPlan,
     DatasetSchema,
     DevicePartition,
-    FeatureSubsetPlan,
     PartitionPlan,
+    _feature_subsets,
+    _generate,
     gen_ring_sectors,
     gen_synthetic,
     load_csv,
     partition,
     principal_plane_angles,
-    select_features,
     write_csv,
 )
-from dfedsim.errors import EmptyDataset, IndexOutOfRange, ParseError, SchemaMismatch
+from dfedsim.errors import ConfigError, EmptyDataset, ParseError, SchemaMismatch
 from dfedsim.rngs import substream
 
 SCHEMA3 = DatasetSchema(num_features=3, num_classes=3, label_column="label")
@@ -55,6 +59,35 @@ def test_non_numeric_cell_reports_row_and_column(tmp_path):
     assert err.value.row == 3
     assert err.value.column == 1
     assert "row 3" in str(err.value)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e151"])
+def test_a_feature_beyond_the_float_range_is_a_parse_error(tmp_path, cell):
+    # feature scales and the principal-plane covariance square every value
+    path = write_file(tmp_path, f"f0,f1,f2,label\n1,2,3,a\n1,2,{cell},b\n")
+    with pytest.raises(ParseError, match=f"feature value '{cell}'") as err:
+        load_csv(path, SCHEMA3)
+    assert (err.value.row, err.value.column) == (3, 2)
+
+
+def test_the_largest_accepted_feature_loads(tmp_path):
+    path = write_file(tmp_path, "f0,f1,f2,label\n1e150,-1e150,0,a\n")
+    x, _ = load_csv(path, SCHEMA3)
+    assert x.tolist() == [[1e150, -1e150, 0.0]]
+
+
+@pytest.mark.parametrize("task", ["blobs", "sectors"])
+@pytest.mark.parametrize("setting", ["spread", "center_scale"])
+def test_generated_data_beyond_the_float_range_is_a_config_error(task, setting):
+    plan = DataPlan(
+        schema=DatasetSchema(num_features=6, num_classes=3), task=task, sectors=6,
+        subset_size=4, latent_dim=2, **{setting: 1e308},
+    )
+    with pytest.raises(ConfigError, match="data.spread .* and data.center_scale"):
+        _generate(plan, 30, seed=0)
+    # the cutoff is on the features, and a merely large spread passes
+    features, _ = _generate(dataclasses.replace(plan, **{setting: 1e100}), 30, seed=0)
+    assert np.abs(features).max() <= MAX_FEATURE_MAGNITUDE
 
 
 def test_ragged_row_is_a_parse_error(tmp_path):
@@ -141,7 +174,6 @@ def test_partition_disjoint_when_enough_samples():
     assert len(parts) == 4
     tags = np.concatenate([p.features[:, 0] for p in parts])
     assert len(set(tags.tolist())) == 600
-    assert not any(p.with_replacement for p in parts)
 
 
 def test_partition_single_device_full_size_is_a_permutation():
@@ -153,11 +185,13 @@ def test_partition_single_device_full_size_is_a_permutation():
 
 
 def test_partition_falls_back_to_replacement():
-    x = np.zeros((10, 2))
+    x = np.stack([np.arange(10.0), np.zeros(10)], axis=1)  # column 0 tags rows
     y = np.zeros(10, dtype=int)
     parts = partition(x, y, PartitionPlan(devices=3, samples_per_device=8), 1)
-    assert all(p.with_replacement for p in parts)
     assert all(p.features.shape == (8, 2) for p in parts)
+    # 24 draws from 10 rows, each one a row of the pool
+    tags = np.concatenate([p.features[:, 0] for p in parts])
+    assert set(tags.tolist()) <= set(range(10))
 
 
 def test_partition_class_proportions_stay_close():
@@ -185,47 +219,17 @@ def test_partition_determinism():
         assert np.array_equal(pa.labels, pb.labels)
 
 
-def test_select_features_identity_plan():
-    x = np.arange(12, dtype=float).reshape(3, 4)
-    plan = FeatureSubsetPlan(indices=((0, 1, 2, 3),), subset_size=4)
-    assert np.array_equal(select_features(x, plan, 0), x)
-
-
-def test_select_features_projection_and_order():
-    x = np.arange(12, dtype=float).reshape(3, 4)
-    plan = FeatureSubsetPlan(indices=((2, 0),), subset_size=2)
-    out = select_features(x, plan, 0)
-    assert np.array_equal(out, x[:, [2, 0]])
-    assert out.shape[0] == x.shape[0]
-
-
-def test_select_features_idempotent_under_identity():
-    x = np.random.default_rng(13).normal(size=(5, 6))
-    plan = FeatureSubsetPlan(indices=((4, 1, 3),), subset_size=3)
-    once = select_features(x, plan, 0)
-    identity = FeatureSubsetPlan(indices=((0, 1, 2),), subset_size=3)
-    assert np.array_equal(select_features(once, identity, 0), once)
-
-
-def test_select_features_errors():
-    x = np.zeros((2, 3))
-    plan = FeatureSubsetPlan(indices=((0, 5),), subset_size=2)
-    with pytest.raises(IndexOutOfRange):
-        select_features(x, plan, 0)
-    with pytest.raises(IndexOutOfRange):
-        select_features(x, FeatureSubsetPlan(indices=((0,),)), 3)
-
-
-def test_random_subset_plan_draws_distinct_indices():
-    schema = DatasetSchema(num_features=274, num_classes=9)
-    plan = FeatureSubsetPlan.random(schema, devices=5, subset_size=50, seed=42)
-    assert len(plan.indices) == 5
-    for row in plan.indices:
+def test_feature_subsets_draw_distinct_in_range_columns_from_the_seed():
+    subsets = _feature_subsets(274, devices=5, subset_size=50, seed=42)
+    assert len(subsets) == 5
+    for row in subsets:
         assert len(row) == 50
         assert len(set(row)) == 50
-        assert all(0 <= i < 274 for i in row)
-    again = FeatureSubsetPlan.random(schema, devices=5, subset_size=50, seed=42)
-    assert plan == again
+        assert all(type(i) is int and 0 <= i < 274 for i in row)
+    assert subsets == _feature_subsets(274, devices=5, subset_size=50, seed=42)
+    assert subsets != _feature_subsets(274, devices=5, subset_size=50, seed=43)
+    # every column when the subset is the whole schema
+    assert all(sorted(r) == list(range(6)) for r in _feature_subsets(6, 3, 6, seed=1))
 
 
 def test_plan_validation():
@@ -233,8 +237,6 @@ def test_plan_validation():
         PartitionPlan(devices=0)
     with pytest.raises(ValueError):
         PartitionPlan(devices=1, strategy="dirichlet")
-    with pytest.raises(ValueError):
-        FeatureSubsetPlan(indices=((),))
     with pytest.raises(ValueError):
         DatasetSchema(num_features=0, num_classes=2)
 
@@ -308,7 +310,6 @@ def test_coverage_partition_disjoint_and_sized():
     tags = np.concatenate([p.features[:, 0] for p in parts])
     assert len(tags) == 1200
     assert len(set(tags.tolist())) == 1200
-    assert not any(p.with_replacement for p in parts)
 
 
 def test_coverage_partition_rows_stay_inside_a_half_circle():
@@ -349,7 +350,8 @@ def test_coverage_partition_tops_up_with_replacement_when_starved():
     plan = PartitionPlan(devices=4, samples_per_device=40, strategy="coverage")
     parts = partition(x, y, plan, 2)
     assert all(p.features.shape == (40, 4) for p in parts)
-    assert any(p.with_replacement for p in parts)
+    # 160 rows from a pool of 50: some device repeats a row
+    assert any(len(np.unique(p.features, axis=0)) < 40 for p in parts)
 
 
 def coverage_partition_oracle(x, y, plan, seed):
@@ -387,7 +389,7 @@ def coverage_partition_oracle(x, y, plan, seed):
             idx = np.array(chosen[d] + extra.tolist(), dtype=np.int64)
         else:
             idx = np.array(chosen[d], dtype=np.int64)
-        out.append(DevicePartition(x[idx].copy(), y[idx].copy(), bool(replace)))
+        out.append(DevicePartition(x[idx].copy(), y[idx].copy()))
     return out
 
 
@@ -417,7 +419,6 @@ def test_coverage_partition_matches_the_per_row_loop(seed, samples, devices, per
     for got, want in zip(got_parts, want_parts, strict=True):
         assert got.features.tobytes() == want.features.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
-        assert got.with_replacement == want.with_replacement
 
 
 def test_principal_plane_angles_recover_a_planted_plane():

@@ -84,7 +84,7 @@ def test_ledger_truncates_at_zero_and_marks_dead():
     new_state, charges = apply_round(state, {7: 5.0})
     assert charges[7] == 1.0
     assert new_state.remaining(7) == 0.0
-    assert new_state.is_dead(7)
+    assert 7 in new_state.dead
     assert new_state.alive() == []
 
 
@@ -96,7 +96,7 @@ def test_ledger_drains_a_cost_too_large_for_the_grid():
         new_state, charges = apply_round(state, {0: cost, 1: 1.0})
         assert charges == {0: 1.5, 1: 1.0}
         assert new_state.remaining(0) == 0.0
-        assert new_state.is_dead(0) and not new_state.is_dead(1)
+        assert new_state.dead == {0}
 
 
 def test_transmission_that_overflows_is_infinite():
@@ -149,7 +149,7 @@ def test_quantize_grid_is_fine_enough():
 def test_dead_node_charges_nothing_further():
     state = EnergyState.start({0: 0.5})
     state, _ = apply_round(state, {0: 1.0})
-    assert state.is_dead(0)
+    assert 0 in state.dead
     state2, charges = apply_round(state, {0: 1.0})
     assert charges[0] == 0.0
     assert state2.remaining(0) == 0.0

@@ -186,13 +186,17 @@ def test_sweep_rejects_bad_values():
 
 def test_heterogeneous_devices_get_private_encoders():
     config = small_config(ScenarioKind.DBFL_HETEROGENEOUS)
-    run = _Run(config, _build_dataset(config))
+    dataset = _build_dataset(config)
+    run = _Run(config, dataset)
     plans = set()
     encoders = set()
-    for dev_id, runtime in sorted(run.devices.items()):
-        assert runtime.rows.feature_indices is not None
-        assert len(runtime.rows.feature_indices) == SMALL_PLAN.subset_size
-        assert runtime.rows.train_x.shape[1] == SMALL_PLAN.subset_size
+    for (dev_id, runtime), raw in zip(sorted(run.devices.items()), dataset.devices, strict=True):
+        cols = runtime.rows.feature_indices
+        assert cols is not None
+        assert len(cols) == SMALL_PLAN.subset_size
+        # the device's raw training rows, projected onto its columns in order
+        assert runtime.rows.train_x.tobytes() == raw.train_x[:, list(cols)].tobytes()
+        assert runtime.rows.train_x.flags.c_contiguous
         # one network per device: its first layer is the fitted encoder
         encoder = runtime.local_net.layers[0]
         assert encoder.weights.shape == (SMALL_PLAN.latent_dim, SMALL_PLAN.subset_size)
@@ -478,6 +482,25 @@ def test_adaptive_fleets_above_six_devices_fail_at_config_time(kind):
     ScenarioConfig(kind=kind, devices=fleet)  # weighted averaging has no grid
     with pytest.raises(ConfigError, match="at most 6 devices, got 7"):
         ScenarioConfig(kind=kind, devices=fleet, aggregation=adaptive)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_clustered_fleets_above_sixteen_devices_fail_at_config_time(kind):
+    # cluster formation is exponential in the fleet and runs at every refresh
+    rng = np.random.default_rng(16)
+    fleet = tuple(
+        DeviceNode(i, Position(*rng.uniform(-50.0, 50.0, size=2)), bs_latency_s=latency)
+        for i, latency in enumerate(rng.choice([0.05, 0.5], size=17).tolist())
+    )
+    at_bound = ScenarioConfig(kind=kind, devices=fleet[:16])
+    network = _Network(at_bound)
+    for round_index in range(2):
+        network.plan_round(round_index)
+    if kind is ScenarioKind.CVFL:
+        ScenarioConfig(kind=kind, devices=fleet)  # forms no clusters
+        return
+    with pytest.raises(ConfigError, match="at most 16 devices, got 17"):
+        ScenarioConfig(kind=kind, devices=fleet)
 
 
 @pytest.mark.parametrize("method", list(AggregationMethod), ids=lambda m: m.value)

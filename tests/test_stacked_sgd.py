@@ -16,6 +16,7 @@ from dfedsim import ml_core
 from dfedsim.errors import DimensionMismatch, EmptyDataset
 from dfedsim.ml_core import (
     DenseNetwork,
+    Layer,
     _activate,
     _as_matrix,
     feature_scale,
@@ -153,6 +154,13 @@ SHAPES = [
 ]
 
 
+def _writable(net: DenseNetwork) -> DenseNetwork:
+    """A copy of the network that the in-place reference loop may update."""
+    return DenseNetwork(
+        [Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in net.layers]
+    )
+
+
 def _devices(count, rows, dims, acts, loss, seed):
     rng = np.random.default_rng(seed)
     xs, labels, nets, scales = [], [], [], []
@@ -184,7 +192,7 @@ def test_stacked_sgd_is_bitwise_the_per_device_loop(count, dims, acts, loss, row
         x = (xs[d] - mean) / std
         target = x if loss == "mse" else labels[d]
         alone = _sgd(
-            nets[d].copy(), x, target, loss, 2, 0.05, batch_size, seeds[d], True,
+            _writable(nets[d]), x, target, loss, 2, 0.05, batch_size, seeds[d], True,
             "stacked-test",
         )
         for got, want in zip(stacked[d].layers, alone.layers, strict=True):
