@@ -15,7 +15,6 @@ failure. Failures print one line to stderr: `dfedsim: <category>: <reason>`.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import enum
@@ -40,8 +39,9 @@ from .errors import (
 from .scenarios import (
     RoundTrace,
     _dataset_rows,
-    _sweep_configs,
+    _kind_configs,
     compare_scenarios,
+    delay_sweep,
     run_scenario,
     total_energy,
 )
@@ -232,16 +232,17 @@ def _trace_rows(kind: ScenarioKind, traces: list[RoundTrace]) -> list[list[str]]
     return rows
 
 
-def _write_manifest(out_dir: Path, config_dicts: list[dict], digests: list[str],
-                    seed: int, outputs: list[Path]) -> Path:
+def _write_manifest(out_dir: Path, configs: list[ScenarioConfig], outputs: list[Path]) -> Path:
     path = out_dir / "manifest.json"
+    dicts = [config_to_dict(config) for config in configs]
+    digests = [_config_digest(config) for config in configs]
     payload = {
         "version": _package_version(),
-        "seed": seed,
+        "seed": configs[0].seed,
         "config_sha256": digests[0] if len(digests) == 1 else digests,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [p.name for p in outputs],
-        "config": config_dicts[0] if len(config_dicts) == 1 else config_dicts,
+        "config": dicts[0] if len(dicts) == 1 else dicts,
     }
     _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
     return path
@@ -262,8 +263,7 @@ def _cmd_run(args) -> int:
     out = Path(args.out)
     trace_path = out / f"trace_{config.kind.value}.csv"
     _write_rows(trace_path, TRACE_HEADER, _trace_rows(config.kind, traces))
-    _write_manifest(out, [config_to_dict(config)], [_config_digest(config)],
-                    config.seed, [trace_path])
+    _write_manifest(out, [config], [trace_path])
     print(f"wrote {trace_path} ({len(traces)} rounds)")
     return 0
 
@@ -271,11 +271,8 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     base = _resolve_config(args, require_kind=False)
     out = Path(args.out)
-    outputs = []
-    summary_rows = []
-    dicts, digests = [], []
+    outputs, summary_rows = [], []
     for kind, traces in compare_scenarios(base).items():
-        config = dataclasses.replace(base, kind=kind)
         trace_path = out / f"trace_{kind.value}.csv"
         _write_rows(trace_path, TRACE_HEADER, _trace_rows(kind, traces))
         outputs.append(trace_path)
@@ -283,18 +280,12 @@ def _cmd_compare(args) -> int:
         summary_rows.append(
             [kind.value, _format(final_accuracy), _format(total_energy(traces))]
         )
-        dicts.append(config_to_dict(config))
-        digests.append(_config_digest(config))
     summary_path = out / "summary.csv"
     _write_rows(summary_path, SUMMARY_HEADER, summary_rows)
     outputs.append(summary_path)
-    _write_manifest(out, dicts, digests, base.seed, outputs)
+    _write_manifest(out, _kind_configs(base), outputs)
     print(f"wrote {len(outputs)} files under {out}")
     return 0
-
-
-def _sweep_total(config: ScenarioConfig) -> float:
-    return total_energy(run_scenario(config))
 
 
 def _cmd_sweep(args) -> int:
@@ -303,26 +294,14 @@ def _cmd_sweep(args) -> int:
         delays = [float(v) for v in args.delay_sweep.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"--delay-sweep must be comma-separated numbers, got {args.delay_sweep!r}")
-    points = _sweep_configs(base, delays)
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
-
-    configs = [config for _, _, config in points]
-    if args.jobs == 1:
-        totals = [_sweep_total(c) for c in configs]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            totals = list(pool.map(_sweep_total, configs))
-
-    out = Path(args.out)
     rows = [
         [_format(delay), kind.value, _format(total)]
-        for (delay, kind, _), total in zip(points, totals)
+        for delay, kind, total in delay_sweep(base, delays, args.jobs)
     ]
+    out = Path(args.out)
     sweep_path = out / "sweep.csv"
     _write_rows(sweep_path, SWEEP_HEADER, rows)
-    _write_manifest(out, [config_to_dict(base)], [_config_digest(base)],
-                    base.seed, [sweep_path])
+    _write_manifest(out, [base], [sweep_path])
     print(f"wrote {sweep_path} ({len(delays)} delays x {len(list(ScenarioKind))} scenarios)")
     return 0
 
@@ -341,8 +320,7 @@ def _cmd_gen_data(args) -> int:
     data_path = out / "dataset.csv"
     out.mkdir(parents=True, exist_ok=True)
     write_csv(data_path, features, labels, plan.schema)
-    _write_manifest(out, [config_to_dict(config)], [_config_digest(config)],
-                    config.seed, [data_path])
+    _write_manifest(out, [config], [data_path])
     print(f"wrote {data_path} ({samples} samples)")
     return 0
 
@@ -354,6 +332,11 @@ def _cmd_validate(args) -> int:
         f"ok kind={config.kind.value} rounds={config.rounds} seed={config.seed} "
         f"devices={len(config.devices)} sha256={digest[:12]}"
     )
+    # run needs only the file's own kind, but compare and sweep build all three
+    try:
+        _kind_configs(config)
+    except ConfigError as exc:
+        print(f"note: compare and sweep stop at config time: {exc}")
     return 0
 
 

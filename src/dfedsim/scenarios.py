@@ -48,6 +48,7 @@ every draw unchanged.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -487,6 +488,12 @@ def run_scenario(config: ScenarioConfig) -> list[RoundTrace]:
     return traces
 
 
+def _kind_configs(base: ScenarioConfig) -> list[ScenarioConfig]:
+    """The base config as each scenario kind, in ``ScenarioKind`` order;
+    building them checks each, so a setting one kind rejects raises here."""
+    return [dataclasses.replace(base, kind=kind) for kind in ScenarioKind]
+
+
 def compare_scenarios(base: ScenarioConfig) -> dict[ScenarioKind, list[RoundTrace]]:
     """Run every scenario kind on the base config's fleet, data and seed.
 
@@ -496,7 +503,7 @@ def compare_scenarios(base: ScenarioConfig) -> dict[ScenarioKind, list[RoundTrac
     is the same in both runs; each run's traces equal those of its own
     ``run_scenario``. Keys come in ``ScenarioKind`` order.
     """
-    configs = [dataclasses.replace(base, kind=kind) for kind in ScenarioKind]
+    configs = _kind_configs(base)
     dataset = _build_dataset(base)
     runs = [_Run(config, dataset) for config in configs]
     return {config.kind: traces for config, traces in zip(configs, _lockstep(runs))}
@@ -523,20 +530,33 @@ def _sweep_configs(
     points = []
     for delay in delays:
         link = dataclasses.replace(base.link, delay_per_meter_s=delay)
-        for kind in ScenarioKind:
-            points.append((delay, kind, dataclasses.replace(base, kind=kind, link=link)))
+        for config in _kind_configs(dataclasses.replace(base, link=link)):
+            points.append((delay, config.kind, config))
     return points
 
 
+def _run_energy(config: ScenarioConfig) -> float:
+    return total_energy(run_scenario(config))
+
+
 def delay_sweep(
-    base: ScenarioConfig, sweep: list[float]
+    base: ScenarioConfig, delays: list[float], jobs: int = 1
 ) -> list[tuple[float, ScenarioKind, float]]:
     """Run all three scenario kinds at each delay-per-meter setting.
 
-    Every run shares the base config's seed; rows come back ordered by
-    (delay value, scenario kind).
+    Every run shares the base config's seed, and every point is checked
+    before any runs; rows come back ordered by (delay value, scenario kind).
+    With ``jobs`` 1 the points run in turn in this process; with more they
+    run over a process pool of ``min(jobs, points)`` workers, same rows.
     """
-    return [
-        (delay, kind, total_energy(run_scenario(config)))
-        for delay, kind, config in _sweep_configs(base, sweep)
-    ]
+    points = _sweep_configs(base, delays)
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
+    configs = [config for _, _, config in points]
+    if jobs == 1:
+        totals = list(map(_run_energy, configs))
+    else:
+        # a fork pool starts all its workers at the first submit
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
+            totals = list(pool.map(_run_energy, configs))
+    return [(delay, kind, total) for (delay, kind, _), total in zip(points, totals)]

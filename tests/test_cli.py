@@ -29,7 +29,7 @@ from dfedsim.cli import (
 from dfedsim.config import AggregationMethod, ScenarioConfig, ScenarioKind
 from dfedsim.data import DatasetSchema
 from dfedsim.errors import ConfigError
-from dfedsim.scenarios import run_scenario
+from dfedsim.scenarios import delay_sweep, run_scenario
 from dfedsim.topology import Position
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -163,6 +163,12 @@ def test_sweep_rows_are_ordered_and_parallel_matches_serial(tmp_path):
 
     text = (serial / "sweep.csv").read_text(encoding="utf-8")
     assert text.splitlines()[0] == SWEEP_HEADER
+    # the command writes the library's sweep, floats as repr
+    base = config_from_dict(dict(SMALL, kind="cvfl"))
+    for jobs in (1, 3):
+        rows = delay_sweep(base, [0.001, 0.002], jobs=jobs)
+        lines = [f"{delay!r},{kind.value},{total!r}" for delay, kind, total in rows]
+        assert text == "".join(line + "\n" for line in [SWEEP_HEADER, *lines])
     rows = read_rows(serial / "sweep.csv")
     kinds = [k.value for k in ScenarioKind]
     assert [r["delay_per_meter_s"] for r in rows] == ["0.001"] * 3 + ["0.002"] * 3
@@ -178,6 +184,15 @@ def test_sweep_rejects_bad_delay_lists(tmp_path, capsys):
                         "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith("dfedsim: config:")
+
+
+def test_sweep_rejects_zero_jobs_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", cfg, "--jobs", "0", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["dfedsim: config: jobs must be >= 1"]
+    assert not out.exists()
 
 
 def test_default_sweep_has_five_points():
@@ -229,6 +244,20 @@ def test_validate_prints_the_resolved_settings(tmp_path, capsys):
     digest = line.rsplit("=", 1)[1]
     assert len(digest) == 12
     int(digest, 16)
+
+
+def test_validate_notes_a_setting_another_kind_rejects(tmp_path, capsys):
+    # run takes retrain for cvfl; compare and sweep also build dbfl_heterogeneous
+    cfg = write_config(tmp_path, extra={"aggregation": "retrain"})
+    assert run_cli(["validate", "--scenario", "cvfl", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("ok kind=cvfl")
+    assert lines[1] == (
+        "note: compare and sweep stop at config time: "
+        "retrain aggregation does not support dbfl_heterogeneous"
+    )
+    assert captured.err == ""
 
 
 def test_validate_digest_ignores_where_the_kind_came_from(tmp_path, capsys):
@@ -485,10 +514,16 @@ def test_clustered_fleets_above_the_bound_exit_one_before_any_file(tmp_path, cap
             f"dfedsim: config: {kind} takes at most 16 devices, got 17: "
             "cluster formation is exponential in the fleet"
         ]
-    # cvfl forms no clusters, but compare also runs both dbfl kinds
+    # cvfl forms no clusters, but compare also runs both dbfl kinds, and
+    # validate says so after its ok line
     cfg = write_config(tmp_path, extra={"kind": "cvfl", "devices": _fleet(17)})
     assert run_cli(["validate", "--config", cfg]) == 0
-    capsys.readouterr()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("ok kind=cvfl")
+    assert lines[1] == (
+        "note: compare and sweep stop at config time: dbfl_homogeneous takes at "
+        "most 16 devices, got 17: cluster formation is exponential in the fleet"
+    )
     out = tmp_path / "out"
     assert run_cli(["compare", "--config", cfg, "--out", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()

@@ -5,6 +5,7 @@ full-size comparisons live in the acceptance suite.
 """
 
 import ast
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -182,6 +183,33 @@ def test_sweep_rejects_bad_values():
         delay_sweep(base, [])
     with pytest.raises(ConfigError):
         delay_sweep(base, [1e-3, -1e-3])
+    with pytest.raises(ConfigError, match="jobs must be >= 1"):
+        delay_sweep(base, [1e-3], jobs=0)
+
+
+def test_sweep_pool_is_capped_at_the_number_of_runs(monkeypatch):
+    # a fork pool starts all its workers at once, so the size is checked
+    # on a stand-in that starts none and maps in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    base = small_config(ScenarioKind.CVFL, rounds=1)
+    rows = delay_sweep(base, [1e-3, 2e-3], jobs=1_000_000)
+    assert sizes == [6]
+    assert rows == delay_sweep(base, [1e-3, 2e-3])
 
 
 def test_heterogeneous_devices_get_private_encoders():
