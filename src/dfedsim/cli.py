@@ -218,14 +218,13 @@ def _trace_rows(kind: ScenarioKind, traces: list[RoundTrace]) -> list[list[str]]
             sort_keys=True,
             separators=(",", ":"),
         )
-        round_total = sum(t.energy_spent[n] for n in sorted(t.energy_spent))
         rows.append(
             [
                 str(t.round_index),
                 kind.value,
                 _format(t.accuracy),
                 participants,
-                _format(round_total),
+                _format(total_energy([t])),
                 per_node,
             ]
         )

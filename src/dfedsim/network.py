@@ -2,11 +2,12 @@
 positions, the consumption cycles and the energy ledger. It steps the
 mobile devices, works out who is alive and who can reach the base station,
 refreshes clusters and elects heads on the head-policy cadence, and charges
-the round. Its output is a ``_RoundPlan``: who trains, which groups
-aggregate where, the link records and the effective charges. Energy never
-depends on a trained weight: every device trains on ``samples_per_device``
-rows minus its probe split and ships a model whose size the config fixes,
-so the plane needs neither data nor models.
+the round. Its output is the round's ``RoundTrace``: who trains, which
+groups aggregate where, the link records and the effective charges, and
+no accuracy. Energy never depends on a trained weight: every device
+trains on ``samples_per_device`` rows minus its probe split and ships a
+model whose size the config fixes, so the plane needs neither data nor
+models.
 """
 
 from __future__ import annotations
@@ -47,19 +48,29 @@ def _classifier_params(input_dim: int, hidden: int, classes: int) -> int:
 
 
 @dataclass(frozen=True)
-class _RoundPlan:
-    """One round as the network plane scheduled and charged it.
+class RoundTrace:
+    """One round as the network plane scheduled and charged it, and, once
+    the learning plane has run it, its test accuracy.
 
     ``groups`` lists (head, members) in aggregation order; a group with
-    head None uploads straight to the base station.
+    head None uploads straight to the base station. ``accuracy`` is None
+    on a record of the network plane alone.
     """
 
+    round_index: int
     participants: tuple[int, ...]
     clusters: ClusterAssignment | None
     head_ids: tuple[int, ...]
     groups: tuple[tuple[int | None, tuple[int, ...]], ...]
-    links: tuple[tuple[int, int, float], ...]
-    charges: dict[int, float]
+    energy_spent: dict[int, float]
+    link_delays: tuple[tuple[int, int, float], ...]  # (src, dst, seconds); dst -1 = BS
+    accuracy: float | None = None
+
+    def __post_init__(self):
+        if self.accuracy is not None and not 0.0 <= self.accuracy <= 1.0:
+            raise ValueError("accuracy must lie in [0, 1]")
+        if any(v < 0 for v in self.energy_spent.values()):
+            raise ValueError("energy entries must be >= 0")
 
 
 class _Network:
@@ -259,7 +270,7 @@ class _Network:
             groups.append((head, members))
         return tuple(groups), links, costs
 
-    def plan_round(self, round_index: int) -> _RoundPlan:
+    def plan_round(self, round_index: int) -> RoundTrace:
         """Move the mobile devices, schedule the round and charge its energy."""
         self._move_mobiles()
         if self.config.kind is ScenarioKind.CVFL:
@@ -267,11 +278,12 @@ class _Network:
         else:
             groups, links, costs = self._schedule_clustered(round_index)
         self.energy_state, charges = apply_round(self.energy_state, costs)
-        return _RoundPlan(
+        return RoundTrace(
+            round_index,
             participants=tuple(sorted(m for _, members in groups for m in members)),
             clusters=self.assignment,
             head_ids=tuple(sorted(head for head, _ in groups if head is not None)),
             groups=groups,
-            links=tuple(sorted(links)),
-            charges=charges,
+            energy_spent=charges,
+            link_delays=tuple(sorted(links)),
         )

@@ -3,14 +3,15 @@
 Each communication round runs in two planes.
 
 The network plane (``network._Network``) plans and charges each round
-from the config alone; its ``_RoundPlan`` says who trains and which
-groups aggregate where.
+from the config alone; its ``RoundTrace`` says who trains and which
+groups aggregate where, and has no accuracy yet.
 
-The learning plane (``_Run._learn``) consumes the plan the same way for
-all three schemes: every participant trains its one local network, each
-group with a head aggregates there, the base station aggregates what
-reaches it, and the result is scored on the held-out test split. Each
-level hands up class probabilities, never a model (``_Run._aggregate``).
+The learning plane (``_Run._learn``) consumes that record the same way
+for all three schemes: every participant trains its one local network,
+each group with a head aggregates there, the base station aggregates what
+reaches it, and the result is scored on the held-out test split; the
+accuracy completes the round's record. Each level hands up class
+probabilities, never a model (``_Run._aggregate``).
 Under retraining the base station instead fits one classifier on every
 participant's pooled rows, and no head or device trains, since nothing
 would read their models; the network plane charges the round as for any
@@ -32,12 +33,12 @@ classifier on the raw features.
 Runs over one dataset advance round by round, in lockstep (``_lockstep``):
 ``compare_scenarios`` runs its three kinds that way, and ``run_scenario``
 is the one-run case. Each round every distinct training request (device,
-classifier config, start network, training rows) trains once, and every
-run that made it gets the same network, which is also scored only once on
-the test split. Start networks and rows match by identity, so a device's
-model is shared between two runs only while its history in both is the
-same: one missed round or an earlier death and its requests part for good.
-Nothing is kept across rounds.
+classifier config, start network, training rows) trains once and is
+scored once on the test split, and every run that made it gets the same
+network and scores. Start networks and rows match by identity, so a
+device's model is shared between two runs only while its history in both
+is the same: one missed round or an earlier death and its requests part
+for good. Nothing is kept across rounds.
 
 Everything is a deterministic function of the config seed: data
 generation, partitioning, mobility, training shuffles, and consumption
@@ -52,7 +53,6 @@ import concurrent.futures
 import dataclasses
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +66,6 @@ from .aggregation import (
     retrain_pooled,
     train_meta,
 )
-from .clustering import ClusterAssignment
 from .config import AggregationMethod, ScenarioConfig, ScenarioKind
 from .data import _feature_subsets, _generate, load_csv, partition
 from .errors import ConfigError
@@ -80,25 +79,8 @@ from .ml_core import (
     train_autoencoder,
     train_classifier,
 )
-from .network import BS_NODE_ID, _Network, _RoundPlan
+from .network import BS_NODE_ID, RoundTrace, _Network
 from .rngs import substream
-
-
-@dataclass(frozen=True)
-class RoundTrace:
-    round_index: int
-    participants: tuple[int, ...]
-    clusters: ClusterAssignment | None
-    head_ids: tuple[int, ...]
-    accuracy: float
-    energy_spent: dict[int, float]
-    link_delays: tuple[tuple[int, int, float], ...]  # (src, dst, seconds); dst -1 = BS
-
-    def __post_init__(self):
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError("accuracy must lie in [0, 1]")
-        if any(v < 0 for v in self.energy_spent.values()):
-            raise ValueError("energy entries must be >= 0")
 
 
 def _derive_seed(seed: int, *key) -> int:
@@ -334,34 +316,33 @@ class _Run:
     # ------------------------------------------------------------ rounds
 
     def _learn(
-        self,
-        plan: _RoundPlan,
-        round_index: int,
-        trained: dict[int, ModelArtifact],
-        score: Callable[[ModelArtifact], np.ndarray],
+        self, plan: RoundTrace, trained: dict[int, tuple[ModelArtifact, np.ndarray]]
     ) -> float:
         """Aggregate each headed group's trained models at its head and the
         result at the base station, or retrain there; returns the test
-        accuracy, with ``score`` giving an artifact's probabilities on the
-        test split. A leaf is a trained model, scored once on each split."""
+        accuracy. ``trained`` holds each participant's model and its
+        probabilities on the test split; a leaf is scored on the probe here."""
         if not plan.groups:
             return 0.0
-        method = self.config.aggregation
+        method, round_index = self.config.aggregation, plan.round_index
         if method is AggregationMethod.RETRAINING:
-            probs = score(self._retrain(plan.participants, round_index))
+            retrained = self._retrain(plan.participants, round_index)
+            probs = artifact_probabilities(retrained, self.dataset.test_x)
         else:
             probe = None
             if method is not AggregationMethod.WEIGHTED_AVERAGING:
                 probe = self._round_probe(plan.participants)
 
-            def leaf(artifact: ModelArtifact) -> tuple[np.ndarray, np.ndarray | None]:
+            def leaf(
+                artifact: ModelArtifact, on_test: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray | None]:
                 if probe is None:
-                    return score(artifact), None
-                return score(artifact), artifact_probabilities(artifact, probe.features)
+                    return on_test, None
+                return on_test, artifact_probabilities(artifact, probe.features)
 
             level = []
             for head, members in plan.groups:
-                leaves = [leaf(trained[m]) for m in members]
+                leaves = [leaf(*trained[m]) for m in members]
                 if head is None:
                     level.extend(leaves)
                 else:
@@ -377,17 +358,18 @@ def _layer_shapes(net: DenseNetwork | None) -> tuple | None:
 
 
 def _train_round(
-    runs: list[_Run], plans: list[_RoundPlan], round_index: int
-) -> list[dict[int, ModelArtifact]]:
-    """Train every run's participants, each distinct request once; returns
-    each run's trained artifacts by device id (none for a retraining run).
+    runs: list[_Run], plans: list[RoundTrace]
+) -> list[dict[int, tuple[ModelArtifact, np.ndarray]]]:
+    """Train every run's participants, each distinct request once, and
+    score each new artifact on the test split; returns each run's
+    (artifact, test probabilities) by device id (none for a retraining run).
 
     A request is (device id, classifier config, start network, training
     rows), with the network and rows matched by identity. Every object a
-    key names stays alive until the round ends, so no id is reused. Two
-    runs that make one request get the same network and artifact, and it
-    becomes both devices' local network. Requests of one network shape and
-    config (but the seed) train in one stacked pass.
+    key names stays alive while the keys are made, so no id is reused. Two
+    runs that make one request get the same network, artifact and scores,
+    and the network becomes both devices' local network. Requests of one
+    network shape and config (but the seed) train in one stacked pass.
     """
     requests: dict[tuple, tuple[_Run, _DeviceRuntime, ClassifierConfig]] = {}
     asked = []
@@ -399,7 +381,7 @@ def _train_round(
             continue
         for d in plan.participants:
             runtime = run.devices[d]
-            config = run._classifier_config(runtime.rows, "train", d, round_index)
+            config = run._classifier_config(runtime.rows, "train", d, plan.round_index)
             key = (d, config, id(runtime.local_net), id(runtime.rows))
             requests.setdefault(key, (run, runtime, config))
             keys.append((runtime, key))
@@ -425,28 +407,15 @@ def _train_round(
                 input_dim=run.schema.num_features,
                 feature_indices=runtime.rows.feature_indices,
             )
-
-    trained = []
     for keys in asked:
-        by_device = {}
         for runtime, key in keys:
             runtime.local_net = artifacts[key].network
-            by_device[runtime.device_id] = artifacts[key]
-        trained.append(by_device)
-    return trained
-
-
-def _test_scorer(features: np.ndarray) -> Callable[[ModelArtifact], np.ndarray]:
-    """``artifact_probabilities`` on ``features``, once per artifact. The
-    memo holds each artifact it has scored, so no id is reused."""
-    memo: dict[int, tuple[ModelArtifact, np.ndarray]] = {}
-
-    def score(artifact: ModelArtifact) -> np.ndarray:
-        if id(artifact) not in memo:
-            memo[id(artifact)] = (artifact, artifact_probabilities(artifact, features))
-        return memo[id(artifact)][1]
-
-    return score
+    # scored only now, so the start networks are freed before the scores fill
+    scored = {
+        key: (artifact, artifact_probabilities(artifact, requests[key][0].dataset.test_x))
+        for key, artifact in artifacts.items()
+    }
+    return [{runtime.device_id: scored[key] for runtime, key in keys} for keys in asked]
 
 
 def _lockstep(runs: list[_Run]) -> list[list[RoundTrace]]:
@@ -454,10 +423,10 @@ def _lockstep(runs: list[_Run]) -> list[list[RoundTrace]]:
     traces.
 
     Each round every run's network plane plans and charges it, the
-    participants train (`_train_round`), and each run aggregates and scores
-    its round on the shared test split. Energy never reads a trained
-    weight, so a round is charged before it is trained, and learning draws
-    only keyed substreams: each run's traces equal those it gets alone.
+    participants train and are scored (`_train_round`), and each run
+    aggregates and fills in its record's accuracy. Energy never reads a
+    trained weight, so a round is charged before it is trained, and learning
+    draws only keyed substreams: each run's traces equal those it gets alone.
     """
     dataset = runs[0].dataset
     if any(run.dataset is not dataset for run in runs):
@@ -465,20 +434,13 @@ def _lockstep(runs: list[_Run]) -> list[list[RoundTrace]]:
     traces: list[list[RoundTrace]] = [[] for _ in runs]
     for round_index in range(runs[0].config.rounds):
         plans = [run.network.plan_round(round_index) for run in runs]
-        trained = _train_round(runs, plans, round_index)
-        score = _test_scorer(dataset.test_x)
-        for run, plan, models, out in zip(runs, plans, trained, traces):
-            out.append(
-                RoundTrace(
-                    round_index,
-                    participants=plan.participants,
-                    clusters=plan.clusters,
-                    head_ids=plan.head_ids,
-                    accuracy=run._learn(plan, round_index, models, score),
-                    energy_spent=plan.charges,
-                    link_delays=plan.links,
-                )
-            )
+        # the comprehension frees a round's models before the next one trains
+        accuracies = [
+            run._learn(plan, models)
+            for run, plan, models in zip(runs, plans, _train_round(runs, plans))
+        ]
+        for plan, accuracy, out in zip(plans, accuracies, traces):
+            out.append(dataclasses.replace(plan, accuracy=accuracy))
     return traces
 
 

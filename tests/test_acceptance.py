@@ -39,6 +39,7 @@ from dfedsim.scenarios import (
     _sweep_configs,
     compare_scenarios,
     delay_sweep,
+    total_energy,
 )
 
 SWEEP_DELAYS = [0.001, 0.0015, 0.002, 0.0025, 0.003]
@@ -116,17 +117,12 @@ ENERGY_ORDER = (ScenarioKind.CVFL, ScenarioKind.DBFL_HETEROGENEOUS, ScenarioKind
 
 
 def _network_energy(config):
-    """A run's total energy from the network plane alone, summed in the
-    order ``total_energy`` sums it; its participations; and whether any
-    device died."""
+    """A run's total energy from the network plane alone, by
+    ``total_energy``; its participations; and whether any device died."""
     network = _Network(config)
-    total, participations = 0.0, 0
-    for round_index in range(config.rounds):
-        plan = network.plan_round(round_index)
-        participations += len(plan.participants)
-        for node in sorted(plan.charges):
-            total += plan.charges[node]
-    return total, participations, bool(network.energy_state.dead)
+    records = [network.plan_round(r) for r in range(config.rounds)]
+    participations = sum(len(record.participants) for record in records)
+    return total_energy(records), participations, bool(network.energy_state.dead)
 
 
 def test_energy_ordering_over_seeds_on_the_network_plane():

@@ -26,7 +26,7 @@ from dfedsim.cli import (
     config_to_dict,
     run_cli,
 )
-from dfedsim.config import AggregationMethod, ScenarioConfig, ScenarioKind
+from dfedsim.config import AggregationMethod, ScenarioConfig, ScenarioKind, default_devices
 from dfedsim.data import DatasetSchema
 from dfedsim.errors import ConfigError
 from dfedsim.scenarios import delay_sweep, run_scenario
@@ -90,6 +90,19 @@ def test_run_zero_rounds_leaves_a_header_only_trace(tmp_path):
     assert run_cli(args) == 0
     text = (out / "trace_dbfl_homogeneous.csv").read_text(encoding="utf-8")
     assert text == TRACE_HEADER + "\n"
+
+
+def test_a_round_with_no_charges_writes_its_total_as_a_float(tmp_path):
+    # no device reaches the base station, so no cluster forms and nothing
+    # is charged; the cell is repr of a float, like every other energy cell
+    slow = tuple(dataclasses.replace(d, bs_latency_s=0.5) for d in default_devices())
+    fleet = config_to_dict(ScenarioConfig(kind=ScenarioKind.CVFL, devices=slow))["devices"]
+    cfg = write_config(tmp_path, extra={"devices": fleet})
+    out = tmp_path / "out"
+    args = ["run", "--scenario", "dbfl_homogeneous", "--config", cfg, "--out", str(out)]
+    assert run_cli(args) == 0
+    rows = read_rows(out / "trace_dbfl_homogeneous.csv")
+    assert [(r["total_energy"], r["per_node_energy_json"]) for r in rows] == [("0.0", "{}")] * 2
 
 
 def test_run_manifest_records_the_resolved_config(tmp_path):

@@ -2,7 +2,8 @@
 
 The demos import public names of the package; a rename or removal that
 no unit test exercises still breaks them, so each one runs here in its
-own interpreter and must exit 0.
+own interpreter and must exit 0. Runtime, deprecation and future warnings
+are errors there, so a demo that leaks one fails instead of printing it.
 """
 
 import os
@@ -14,6 +15,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+WARNINGS_AS_ERRORS = (
+    "-W", "error::RuntimeWarning",
+    "-W", "error::DeprecationWarning",
+    "-W", "error::FutureWarning",
+)
 
 
 def test_demos_are_found():
@@ -24,7 +30,7 @@ def test_demos_are_found():
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, *WARNINGS_AS_ERRORS, str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -383,10 +383,27 @@ def test_energy_does_not_depend_on_learning(kind, field, a, b, case):
             assert got.participants == ta.participants
             assert got.clusters == ta.clusters
             assert got.head_ids == ta.head_ids
-        assert tb.link_delays == plan.links == ta.link_delays
-        assert tb.energy_spent == plan.charges == ta.energy_spent
-        assert repr(plan.links) == repr(ta.link_delays)
-        assert repr(plan.charges) == repr(ta.energy_spent)
+        assert tb.link_delays == plan.link_delays == ta.link_delays
+        assert tb.energy_spent == plan.energy_spent == ta.energy_spent
+        assert repr(plan.link_delays) == repr(ta.link_delays)
+        assert repr(plan.energy_spent) == repr(ta.energy_spent)
+
+
+@pytest.mark.parametrize("delay", [0.001, 0.002, 0.005])
+@pytest.mark.parametrize(
+    "devices", [default_devices(), diverging_devices()], ids=["defaults", "low-battery"]
+)
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_the_network_plane_alone_gives_each_record_but_its_accuracy(kind, devices, delay):
+    # the oracle for pricing a run without its learning plane: the network
+    # plane's records are the run's, with no accuracy, and so is the total
+    config = small_config(kind, devices=devices, link=LinkModel(delay_per_meter_s=delay))
+    network = _Network(config)
+    records = [network.plan_round(r) for r in range(config.rounds)]
+    traces = run_scenario(config)
+    assert all(record.accuracy is None for record in records)
+    assert repr(records) == repr([dataclasses.replace(t, accuracy=None) for t in traces])
+    assert repr(total_energy(records)) == repr(total_energy(traces))
 
 
 def drained_devices():
@@ -495,7 +512,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(kind=ScenarioKind.CVFL, devices=devs + (devs[0],))
     with pytest.raises(ValueError):
-        RoundTrace(0, (), None, (), accuracy=1.5, energy_spent={}, link_delays=())
+        RoundTrace(0, (), None, (), (), energy_spent={}, link_delays=(), accuracy=1.5)
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
@@ -668,10 +685,16 @@ def test_compare_trains_and_scores_each_distinct_model_once(monkeypatch):
     assert len({id(net) for net in networks}) == len(networks) == distinct
 
 
-def test_meta_scores_each_device_model_once_on_the_test_split(monkeypatch):
-    # a meta node stacks its members' probabilities and hands up its own, so
-    # only device models are scored: each once on the test split, through
-    # the round's memo, and once on the round probe of each run that has it
+@pytest.mark.parametrize(
+    "method",
+    [AggregationMethod.META_LEARNING, AggregationMethod.ADAPTIVE_WEIGHTED_AVERAGING],
+    ids=lambda m: m.value,
+)
+def test_meta_scores_each_device_model_once_on_the_test_split(monkeypatch, method):
+    # a meta or adaptive node combines its members' probabilities and hands
+    # up its own, so only device models are scored: each once on the test
+    # split, where it is trained, and once on the round probe of each run
+    # that has it
     device_nets = {}
     train_classifier = scenarios.train_classifier
 
@@ -681,7 +704,7 @@ def test_meta_scores_each_device_model_once_on_the_test_split(monkeypatch):
         return nets
 
     monkeypatch.setattr(scenarios, "train_classifier", train)
-    base = small_config(ScenarioKind.CVFL, aggregation=AggregationMethod.META_LEARNING)
+    base = small_config(ScenarioKind.CVFL, aggregation=method)
     runs, dataset, _, scored = recorded_compare(monkeypatch, base)
     assert all(id(artifact.network) in device_nets for artifact, _ in scored)
     on_test = [artifact for artifact, features in scored if features is dataset.test_x]
@@ -701,9 +724,10 @@ def test_meta_scores_each_device_model_once_on_the_test_split(monkeypatch):
 def recorded_dbfl_round(monkeypatch, method, fitter):
     """One two-head DBFL round under ``method``, with every call to the
     scenarios binding ``fitter`` recorded. Checks that the base station
-    fits on the round probe's labels; returns the heads' (probs, labels,
-    fit) calls, the base station's input, the round's groups, its trained
-    models by device and its round probe features."""
+    fits on the round probe's labels and that each trained model comes with
+    its test-split probabilities; returns the heads' (probs, labels, fit)
+    calls, the base station's input, the round's groups, its trained models
+    by device and its round probe features."""
     fits = []
     fit = getattr(scenarios, fitter)
 
@@ -723,8 +747,12 @@ def recorded_dbfl_round(monkeypatch, method, fitter):
     run_scenario(config)
     plan = _Network(config).plan_round(0)
     assert len(plan.head_ids) == len(plan.groups) == 2
-    ((models,),) = trained
+    ((trained_round,),) = trained
     dataset = _build_dataset(config)
+    models = {}
+    for d, (artifact, on_test) in trained_round.items():
+        assert np.array_equal(on_test, artifact_probabilities(artifact, dataset.test_x))
+        models[d] = artifact
     ids = sorted(plan.participants)
     probe_x = np.vstack([dataset.devices[d].probe_x for d in ids])
     probe_y = np.concatenate([dataset.devices[d].probe_y for d in ids])
