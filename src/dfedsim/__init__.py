@@ -54,13 +54,8 @@ from .ml_core import (
     train_autoencoder,
     train_classifier,
 )
-from .scenarios import (
-    RoundTrace,
-    compare_scenarios,
-    delay_sweep,
-    run_scenario,
-    total_energy,
-)
+from .network import RoundTrace, plan_rounds, total_energy
+from .scenarios import compare_scenarios, delay_sweep, run_scenario
 from .topology import (
     DeviceNode,
     LinkModel,

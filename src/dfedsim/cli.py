@@ -27,6 +27,7 @@ import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
 from .config import ScenarioConfig, ScenarioKind
 from .data import _generate, write_csv
 from .errors import (
@@ -196,11 +197,6 @@ def _format(value) -> str:
     return str(value)
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
 def _write_rows(path: Path, header: str, rows: list[list[str]]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -231,26 +227,19 @@ def _trace_rows(kind: ScenarioKind, traces: list[RoundTrace]) -> list[list[str]]
     return rows
 
 
-def _write_manifest(out_dir: Path, configs: list[ScenarioConfig], outputs: list[Path]) -> Path:
-    path = out_dir / "manifest.json"
+def _write_manifest(out_dir: Path, configs: list[ScenarioConfig], outputs: list[Path]) -> None:
     dicts = [config_to_dict(config) for config in configs]
     digests = [_config_digest(config) for config in configs]
     payload = {
-        "version": _package_version(),
+        "version": __version__,
         "seed": configs[0].seed,
         "config_sha256": digests[0] if len(digests) == 1 else digests,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [p.name for p in outputs],
         "config": dicts[0] if len(dicts) == 1 else dicts,
     }
-    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
-    return path
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
+    manifest = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    (out_dir / "manifest.json").write_text(manifest, encoding="utf-8")
 
 
 # ------------------------------------------------------------- subcommands

@@ -1,13 +1,16 @@
-"""The network plane (``_Network``) reads only the config, the device
-positions, the consumption cycles and the energy ledger. It steps the
-mobile devices, works out who is alive and who can reach the base station,
-refreshes clusters and elects heads on the head-policy cadence, and charges
-the round. Its output is the round's ``RoundTrace``: who trains, which
-groups aggregate where, the link records and the effective charges, and
-no accuracy. Energy never depends on a trained weight: every device
-trains on ``samples_per_device`` rows minus its probe split and ships a
-model whose size the config fixes, so the plane needs neither data nor
-models.
+"""The network plane: ``plan_rounds`` prices a run from its config alone.
+
+It reads only the config, the device positions, the consumption cycles
+and the energy ledger. Each round it steps the mobile devices, works out
+who is alive and who can reach the base station, refreshes clusters and
+elects heads on the head-policy cadence, and charges the round. Its
+output is the round's ``RoundTrace``: who trains, which groups aggregate
+where, the link records and the effective charges, and no accuracy; the
+learning plane fills that in later. Energy never depends on a trained
+weight: every device trains on ``samples_per_device`` rows minus its
+probe split and ships a model whose size the config fixes, so the plane
+needs neither data nor models, and ``total_energy`` of its records is
+the run's total.
 """
 
 from __future__ import annotations
@@ -287,3 +290,19 @@ class _Network:
             energy_spent=charges,
             link_delays=tuple(sorted(links)),
         )
+
+
+def plan_rounds(config: ScenarioConfig) -> list[RoundTrace]:
+    """Every round of a run as the network plane plans and charges it,
+    each record with accuracy None."""
+    network = _Network(config)
+    return [network.plan_round(r) for r in range(config.rounds)]
+
+
+def total_energy(traces: list[RoundTrace]) -> float:
+    """Sum of all effective charges over a run (grid-exact by ledger design)."""
+    total = 0.0
+    for trace in traces:
+        for node in sorted(trace.energy_spent):
+            total += trace.energy_spent[node]
+    return total

@@ -1,12 +1,13 @@
 """End-to-end simulation of the three experiment scenarios.
 
-Each communication round runs in two planes.
+A run is planned, then learned, in two planes that share no state.
 
-The network plane (``network._Network``) plans and charges each round
-from the config alone; its ``RoundTrace`` says who trains and which
-groups aggregate where, and has no accuracy yet.
+The network plane (``network.plan_rounds``) plans and charges every
+round from the config alone before any round trains; each round's
+``RoundTrace`` says who trains and which groups aggregate where, and has
+no accuracy yet.
 
-The learning plane (``_Run._learn``) consumes that record the same way
+The learning plane (``_Run._learn``) consumes each record the same way
 for all three schemes: every participant trains its one local network,
 each group with a head aggregates there, the base station aggregates what
 reaches it, and the result is scored on the held-out test split; the
@@ -30,7 +31,7 @@ projection, trained on jointly with the classifier layers above it.
 Elsewhere the projection is the identity and the network a plain
 classifier on the raw features.
 
-Runs over one dataset advance round by round, in lockstep (``_lockstep``):
+Runs over one dataset train round by round, in lockstep (``_lockstep``):
 ``compare_scenarios`` runs its three kinds that way, and ``run_scenario``
 is the one-run case. Each round every distinct training request (device,
 classifier config, start network, training rows) trains once and is
@@ -42,9 +43,7 @@ for good. Nothing is kept across rounds.
 
 Everything is a deterministic function of the config seed: data
 generation, partitioning, mobility, training shuffles, and consumption
-cycles all come from labelled substreams of that one seed. Learning draws
-only from keyed substreams, so charging a round before training it leaves
-every draw unchanged.
+cycles all come from labelled substreams of that one seed.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ from .ml_core import (
     train_autoencoder,
     train_classifier,
 )
-from .network import BS_NODE_ID, RoundTrace, _Network
+from .network import BS_NODE_ID, RoundTrace, plan_rounds, total_energy
 from .rngs import substream
 
 
@@ -181,13 +180,12 @@ class _RoundProbe:
 
 
 class _Run:
-    """One run: the network plane plans and charges each round, then the
-    learning plane (device data, local models, aggregation) trains it."""
+    """One run's learning plane: device data, local models and aggregation,
+    trained as the network plane's records say."""
 
     def __init__(self, config: ScenarioConfig, dataset: _Dataset):
         self.config = config
         self.dataset = dataset
-        self.network = _Network(config)
         self.schema = config.data.schema
         self.num_classes = self.schema.num_classes
         self.devices = self._prepare_devices()
@@ -197,7 +195,7 @@ class _Run:
     def _prepare_devices(self) -> dict[int, _DeviceRuntime]:
         ordered = sorted(self.config.devices, key=lambda d: d.id)
         shared = self.dataset.devices
-        if not self.network.hetero:
+        if self.config.kind is not ScenarioKind.DBFL_HETEROGENEOUS:
             return {
                 device.id: _DeviceRuntime(device.id, rows)
                 for device, rows in zip(ordered, shared)
@@ -419,21 +417,19 @@ def _train_round(
 
 
 def _lockstep(runs: list[_Run]) -> list[list[RoundTrace]]:
-    """Advance runs over one dataset round by round; returns each run's
+    """Train runs over one dataset round by round; returns each run's
     traces.
 
-    Each round every run's network plane plans and charges it, the
+    Every run's records come from ``plan_rounds`` up front. Each round the
     participants train and are scored (`_train_round`), and each run
-    aggregates and fills in its record's accuracy. Energy never reads a
-    trained weight, so a round is charged before it is trained, and learning
-    draws only keyed substreams: each run's traces equal those it gets alone.
+    aggregates and fills in its record's accuracy. Learning draws only
+    keyed substreams, so each run's traces equal those it gets alone.
     """
     dataset = runs[0].dataset
     if any(run.dataset is not dataset for run in runs):
         raise ValueError("runs in lockstep must share one dataset")
     traces: list[list[RoundTrace]] = [[] for _ in runs]
-    for round_index in range(runs[0].config.rounds):
-        plans = [run.network.plan_round(round_index) for run in runs]
+    for plans in zip(*(plan_rounds(run.config) for run in runs)):
         # the comprehension frees a round's models before the next one trains
         accuracies = [
             run._learn(plan, models)
@@ -469,15 +465,6 @@ def compare_scenarios(base: ScenarioConfig) -> dict[ScenarioKind, list[RoundTrac
     dataset = _build_dataset(base)
     runs = [_Run(config, dataset) for config in configs]
     return {config.kind: traces for config, traces in zip(configs, _lockstep(runs))}
-
-
-def total_energy(traces: list[RoundTrace]) -> float:
-    """Sum of all effective charges over a run (grid-exact by ledger design)."""
-    total = 0.0
-    for trace in traces:
-        for node in sorted(trace.energy_spent):
-            total += trace.energy_spent[node]
-    return total
 
 
 def _sweep_configs(

@@ -25,22 +25,14 @@ from dfedsim.config import ScenarioConfig, ScenarioKind
 from dfedsim.data import DataPlan, PartitionPlan
 from dfedsim.energy import EnergyParams, quantize, round_energy
 from dfedsim.head_selection import select_head
-from dfedsim.network import _Network
+from dfedsim.network import _Network, plan_rounds, total_energy
 from dfedsim.ml_core import (
     ClassifierConfig,
     loss_gradients,
     predict_proba,
     train_classifier,
 )
-from dfedsim.scenarios import (
-    _Run,
-    _build_dataset,
-    _lockstep,
-    _sweep_configs,
-    compare_scenarios,
-    delay_sweep,
-    total_energy,
-)
+from dfedsim.scenarios import _sweep_configs, compare_scenarios, delay_sweep, run_scenario
 
 SWEEP_DELAYS = [0.001, 0.0015, 0.002, 0.0025, 0.003]
 
@@ -118,11 +110,18 @@ ENERGY_ORDER = (ScenarioKind.CVFL, ScenarioKind.DBFL_HETEROGENEOUS, ScenarioKind
 
 def _network_energy(config):
     """A run's total energy from the network plane alone, by
-    ``total_energy``; its participations; and whether any device died."""
-    network = _Network(config)
-    records = [network.plan_round(r) for r in range(config.rounds)]
+    ``total_energy``; its participations; and whether any device died.
+
+    The ledger is exact: a device is dead once its charges, summed in
+    round order, equal its quantized battery."""
+    records = plan_rounds(config)
     participations = sum(len(record.participants) for record in records)
-    return total_energy(records), participations, bool(network.energy_state.dead)
+    died = any(
+        sum((record.energy_spent.get(d.id, 0.0) for record in records), 0.0)
+        == quantize(d.battery)
+        for d in config.devices
+    )
+    return total_energy(records), participations, died
 
 
 def test_energy_ordering_over_seeds_on_the_network_plane():
@@ -267,11 +266,13 @@ def test_energy_ledger_exactness():
     conservation_breaks = 0
     for kind in ScenarioKind:
         config = ScenarioConfig(kind=kind, rounds=6, seed=0, data=SMALL_PLAN)
-        run = _Run(config, _build_dataset(config))
-        (traces,) = _lockstep([run])
+        traces = run_scenario(config)
+        network = _Network(config)  # the ledger is network-plane state
+        for round_index in range(config.rounds):
+            network.plan_round(round_index)
         for device in config.devices:
             spent = sum(t.energy_spent.get(device.id, 0.0) for t in traces)
-            state = run.network.energy_state
+            state = network.energy_state
             if state.initial[device.id] != quantize(device.battery):
                 conservation_breaks += 1
             if spent != state.initial[device.id] - state.remaining(device.id):

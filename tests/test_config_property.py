@@ -19,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from dfedsim.cli import config_from_dict, config_to_dict  # noqa: E402
 from dfedsim.config import AggregationMethod, ScenarioConfig, ScenarioKind  # noqa: E402
 from dfedsim.errors import ConfigError, TrainingDiverged  # noqa: E402
-from dfedsim.network import _Network  # noqa: E402
+from dfedsim.network import plan_rounds  # noqa: E402
 from dfedsim.scenarios import run_scenario  # noqa: E402
 
 NAN, INF = float("nan"), float("inf")
@@ -104,9 +104,7 @@ def test_network_settings_that_build_plan_twelve_rounds(edits):
     except ConfigError:
         return
     for kind in ScenarioKind:
-        network = _Network(dataclasses.replace(base, kind=kind))
-        for round_index in range(12):
-            network.plan_round(round_index)
+        plan_rounds(dataclasses.replace(base, kind=kind, rounds=12))
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
