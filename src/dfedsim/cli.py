@@ -282,9 +282,11 @@ def _cmd_sweep(args) -> int:
         delays = [float(v) for v in args.delay_sweep.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"--delay-sweep must be comma-separated numbers, got {args.delay_sweep!r}")
+    if args.jobs < 1:
+        raise ConfigError("jobs must be >= 1")
     rows = [
         [_format(delay), kind.value, _format(total)]
-        for delay, kind, total in delay_sweep(base, delays, args.jobs)
+        for delay, kind, total in delay_sweep(base, delays)
     ]
     out = Path(args.out)
     sweep_path = out / "sweep.csv"
@@ -364,7 +366,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--delay-sweep", default=DEFAULT_SWEEP,
                          help="comma-separated delay-per-meter values")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    # ignored, and kept so that command lines that pass it (bench/run.py's sweep) still run
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="accepted and ignored: the points run in turn")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset CSV")

@@ -95,6 +95,12 @@ class ScenarioConfig:
         if min(ids) < 0:
             # run-seed substreams are keyed by device id, and -1 marks the base station
             raise ConfigError("device ids must be >= 0")
+        planned = self.data.partition.devices
+        if planned is not None and planned != len(self.devices):
+            raise ConfigError(
+                f"data.partition.devices is {planned} but the fleet has "
+                f"{len(self.devices)} devices; leave it out or make them equal"
+            )
         if self.local_epochs < 1 or self.hidden_units < 1:
             raise ConfigError("local_epochs and hidden_units must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):

@@ -37,12 +37,12 @@ class DatasetSchema:
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    devices: int
+    devices: int | None = None  # None: one partition per device of the fleet
     samples_per_device: int = 3500
     strategy: str = "iid"
 
     def __post_init__(self):
-        if self.devices < 1 or self.samples_per_device < 1:
+        if (self.devices is not None and self.devices < 1) or self.samples_per_device < 1:
             raise ValueError("devices and samples_per_device must be >= 1")
         if self.strategy not in ("iid", "coverage"):
             raise ValueError(f"unknown partition strategy {self.strategy!r}")
@@ -276,6 +276,8 @@ def partition(
         raise EmptyDataset("cannot partition an empty dataset")
     if x.shape[0] != y.shape[0]:
         raise ValueError("features and labels must have the same length")
+    if plan.devices is None:
+        raise ValueError("the partition plan names no device count")
     total = plan.devices * plan.samples_per_device
     rng = substream(seed, "partition")
     rows: list[np.ndarray] = []
@@ -358,7 +360,7 @@ class DataPlan:
     """
 
     schema: DatasetSchema = DatasetSchema(num_features=274, num_classes=9)
-    partition: PartitionPlan = PartitionPlan(devices=5, strategy="coverage")
+    partition: PartitionPlan = PartitionPlan(strategy="coverage")
     task: str = "sectors"
     sectors: int = 36
     subset_size: int = 50

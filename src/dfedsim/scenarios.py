@@ -48,7 +48,6 @@ cycles all come from labelled substreams of that one seed.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -484,28 +483,16 @@ def _sweep_configs(
     return points
 
 
-def _run_energy(config: ScenarioConfig) -> float:
-    return total_energy(run_scenario(config))
-
-
 def delay_sweep(
-    base: ScenarioConfig, delays: list[float], jobs: int = 1
+    base: ScenarioConfig, delays: list[float]
 ) -> list[tuple[float, ScenarioKind, float]]:
     """Run all three scenario kinds at each delay-per-meter setting.
 
     Every run shares the base config's seed, and every point is checked
-    before any runs; rows come back ordered by (delay value, scenario kind).
-    With ``jobs`` 1 the points run in turn in this process; with more they
-    run over a process pool of ``min(jobs, points)`` workers, same rows.
+    before any runs; the points then run in turn, and rows come back
+    ordered by (delay value, scenario kind).
     """
-    points = _sweep_configs(base, delays)
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    configs = [config for _, _, config in points]
-    if jobs == 1:
-        totals = list(map(_run_energy, configs))
-    else:
-        # a fork pool starts all its workers at the first submit
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-            totals = list(pool.map(_run_energy, configs))
-    return [(delay, kind, total) for (delay, kind, _), total in zip(points, totals)]
+    return [
+        (delay, kind, total_energy(run_scenario(config)))
+        for delay, kind, config in _sweep_configs(base, delays)
+    ]

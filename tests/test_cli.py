@@ -38,7 +38,7 @@ SMALL = {
     "rounds": 2,
     "seed": 0,
     "data": {
-        "partition": {"devices": 5, "samples_per_device": 150, "strategy": "coverage"},
+        "partition": {"samples_per_device": 150, "strategy": "coverage"},
         "test_samples": 300,
         "ae_epochs": 5,
     },
@@ -166,23 +166,23 @@ def test_compare_rejects_an_unsupported_kind_before_writing_anything(tmp_path, c
 # ----------------------------------------------------------------- sweep
 
 
-def test_sweep_rows_are_ordered_and_parallel_matches_serial(tmp_path):
+def test_sweep_writes_the_library_rows_in_order_and_ignores_jobs(tmp_path):
     cfg = write_config(tmp_path)
-    serial, parallel = tmp_path / "s", tmp_path / "p"
+    plain, jobs = tmp_path / "s", tmp_path / "j"
     args = ["sweep", "--config", cfg, "--delay-sweep", "0.001,0.002"]
-    assert run_cli(args + ["--out", str(serial)]) == 0
-    assert run_cli(args + ["--out", str(parallel), "--jobs", "3"]) == 0
-    assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+    assert run_cli(args + ["--out", str(plain)]) == 0
+    # --jobs is still accepted, so older command lines keep their output
+    assert run_cli(args + ["--out", str(jobs), "--jobs", "3"]) == 0
+    assert (plain / "sweep.csv").read_bytes() == (jobs / "sweep.csv").read_bytes()
 
-    text = (serial / "sweep.csv").read_text(encoding="utf-8")
+    text = (plain / "sweep.csv").read_text(encoding="utf-8")
     assert text.splitlines()[0] == SWEEP_HEADER
     # the command writes the library's sweep, floats as repr
     base = config_from_dict(dict(SMALL, kind="cvfl"))
-    for jobs in (1, 3):
-        rows = delay_sweep(base, [0.001, 0.002], jobs=jobs)
-        lines = [f"{delay!r},{kind.value},{total!r}" for delay, kind, total in rows]
-        assert text == "".join(line + "\n" for line in [SWEEP_HEADER, *lines])
-    rows = read_rows(serial / "sweep.csv")
+    rows = delay_sweep(base, [0.001, 0.002])
+    lines = [f"{delay!r},{kind.value},{total!r}" for delay, kind, total in rows]
+    assert text == "".join(line + "\n" for line in [SWEEP_HEADER, *lines])
+    rows = read_rows(plain / "sweep.csv")
     kinds = [k.value for k in ScenarioKind]
     assert [r["delay_per_meter_s"] for r in rows] == ["0.001"] * 3 + ["0.002"] * 3
     assert [r["scenario"] for r in rows] == kinds * 2
@@ -381,6 +381,9 @@ MISTYPED = [
      "unknown key(s) under config.cluster_policy: require_bs_member"),
     ({"data": {"partition": {"devices": 5, "seed": 3}}},
      "unknown key(s) under config.data.partition: seed"),
+    # a partition count, when set, must be the fleet's
+    ({"data": {"partition": {"devices": 2}}},
+     "data.partition.devices is 2 but the fleet has 5 devices"),
     # values of the right type that crashed a run: -1 is the base station's
     # id, and the mobility clamp overflowed
     ({"devices": [{"id": -1, "pos": {"x": 1.0, "y": 1.0}}]}, "device ids must be >= 0"),
@@ -443,10 +446,10 @@ def test_runtime_errors_exit_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("dfedsim: runtime:")
 
 
-# 40 rows per device; partition.devices is accepted, and the fleet size overrides it
+# 40 rows per device
 BLOBS_40 = {
     "task": "blobs",
-    "partition": {"devices": 5, "samples_per_device": 40, "strategy": "coverage"},
+    "partition": {"samples_per_device": 40, "strategy": "coverage"},
     "test_samples": 40,
 }
 
@@ -679,12 +682,11 @@ def test_config_round_trips_through_its_dict_form():
 
 def test_a_partial_nested_object_keeps_its_fields_default():
     default = config_from_dict({"kind": "cvfl"}).data
-    expected = dataclasses.replace(
-        default, partition=dataclasses.replace(default.partition, samples_per_device=40)
-    )
     for partition in ({"samples_per_device": 40}, {"devices": 5, "samples_per_device": 40}):
         data = config_from_dict({"kind": "cvfl", "data": {"partition": partition}}).data
-        assert data == expected
+        assert data == dataclasses.replace(
+            default, partition=dataclasses.replace(default.partition, **partition)
+        )
         assert data.partition.strategy == "coverage"
     # the replaced object is checked like a new one
     for data in ({"partition": {"samples_per_device": 0}}, {"subset_size": 10}):

@@ -239,6 +239,10 @@ def test_plan_validation():
         PartitionPlan(devices=1, strategy="dirichlet")
     with pytest.raises(ValueError):
         DatasetSchema(num_features=0, num_classes=2)
+    # a plan without a count takes the fleet's, so only a run can partition it
+    x, y = np.arange(30, dtype=float).reshape(10, 3), np.arange(10)
+    with pytest.raises(ValueError, match="names no device count"):
+        partition(x, y, PartitionPlan(samples_per_device=2), 0)
 
 
 def test_ring_sectors_shapes_and_label_range():
