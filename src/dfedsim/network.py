@@ -1,16 +1,21 @@
 """The network plane: ``plan_rounds`` prices a run from its config alone.
 
 It reads only the config, the device positions, the consumption cycles
-and the energy ledger. Each round it steps the mobile devices, works out
-who is alive and who can reach the base station, refreshes clusters and
-elects heads on the head-policy cadence, and charges the round. Its
-output is the round's ``RoundTrace``: who trains, which groups aggregate
-where, the link records and the effective charges, and no accuracy; the
-learning plane fills that in later. Energy never depends on a trained
-weight: every device trains on ``samples_per_device`` rows minus its
-probe split and ships a model whose size the config fixes, so the plane
-needs neither data nor models, and ``total_energy`` of its records is
-the run's total.
+and the energy ledger. Each round it steps the mobile devices, asks
+``_groups`` who aggregates with whom, and charges the round in one loop
+over those groups. ``_groups`` is the only part that depends on the
+scenario kind: CVFL gives one headless group of the devices that reach
+the base station, and DBFL refreshes clusters and elects heads on the
+head-policy cadence, then gives one group per cluster whose head is
+alive. In the loop a headless member or a head uploads to the base
+station, and any other member uploads to its head; a CVFL device out of
+reach still pays for its upload attempt. The output is the round's
+``RoundTrace``: who trains, which groups aggregate where, the link
+records and the effective charges, and no accuracy; the learning plane
+fills that in later. Energy never depends on a trained weight: every
+device trains on ``samples_per_device`` rows minus its probe split and
+ships a model whose size the config fixes, so the plane needs neither
+data nor models, and ``total_energy`` of its records is the run's total.
 """
 
 from __future__ import annotations
@@ -24,14 +29,7 @@ from .config import ScenarioConfig, ScenarioKind
 from .energy import EnergyState, apply_round, round_energy
 from .head_selection import HeadCandidateView, select_head
 from .rngs import substream
-from .topology import (
-    DeviceNode,
-    Position,
-    can_connect,
-    distance_m,
-    random_step,
-    transmission_delay,
-)
+from .topology import Position, can_connect, distance_m, random_step, transmission_delay
 
 BS_POSITION = Position(0.0, 0.0)
 BS_NODE_ID = -1  # destination marker in link-delay records
@@ -82,8 +80,7 @@ class _Network:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.hetero = config.kind is ScenarioKind.DBFL_HETEROGENEOUS
-        self.nodes = {d.id: d for d in config.devices}
-        self.positions: dict[int, Position] = {d.id: d.pos for d in config.devices}
+        self.nodes = {d.id: d for d in config.devices}  # each at its current position
         self.mobility_rng = substream(config.seed, "mobility")
         self.cycles = self._draw_cycles()
         self.energy_state = EnergyState.start({d.id: d.battery for d in config.devices})
@@ -111,19 +108,14 @@ class _Network:
 
     # ------------------------------------------------------- connectivity
 
-    def _moved(self, device_id: int) -> DeviceNode:
-        return dataclasses.replace(self.nodes[device_id], pos=self.positions[device_id])
-
     def _bs_delay(self, device_id: int) -> float:
+        node = self.nodes[device_id]
         return transmission_delay(
-            self.config.link,
-            self._moved(device_id),
-            BS_POSITION,
-            override_latency_s=self.nodes[device_id].bs_latency_s,
+            self.config.link, node, BS_POSITION, override_latency_s=node.bs_latency_s
         )
 
     def _bs_distance(self, device_id: int) -> float:
-        return distance_m(self.positions[device_id], BS_POSITION)
+        return distance_m(self.nodes[device_id].pos, BS_POSITION)
 
     def _energy_distance(self, geometric_m: float) -> float:
         # Slower links keep the radio on longer, so transmission energy grows
@@ -143,7 +135,7 @@ class _Network:
             if not device.mobile:
                 continue
             pos = random_step(
-                self.positions[device.id], self.mobility_rng, self.config.max_step_m
+                self.nodes[device.id].pos, self.mobility_rng, self.config.max_step_m
             )
             # waypoints stay inside a patrol disc around the device's home
             # position; an unbounded walk would let transmission distances
@@ -153,7 +145,7 @@ class _Network:
             radius = math.hypot(dx, dy)
             if radius > limit:
                 pos = Position(home.x + dx * limit / radius, home.y + dy * limit / radius)
-            self.positions[device.id] = pos
+            self.nodes[device.id] = dataclasses.replace(device, pos=pos)
 
     def _refresh_clusters(self) -> None:
         alive = self.energy_state.alive()
@@ -168,7 +160,7 @@ class _Network:
             self.config.link.max_transmission_time_s / self.config.link.delay_per_meter_s
         )
         self.assignment = form_clusters(
-            [self._moved(d) for d in alive],
+            [self.nodes[d] for d in alive],
             [connectable[d] for d in alive],
             self.config.cluster_policy,
             max_member_distance_m=max_range,
@@ -180,7 +172,7 @@ class _Network:
             for m in cluster.member_ids:
                 others = [o for o in cluster.member_ids if o != m]
                 agg = sum(
-                    distance_m(self.positions[m], self.positions[o]) for o in others
+                    distance_m(self.nodes[m].pos, self.nodes[o].pos) for o in others
                 )
                 candidates.append(
                     HeadCandidateView(
@@ -196,66 +188,53 @@ class _Network:
 
     # ------------------------------------------------------------ rounds
 
-    def _schedule_direct(self) -> tuple[tuple, list, dict[int, float]]:
-        """CVFL: devices whose base-station delay clears the cutoff upload
-        straight to it; the rest still burn a transmission attempt."""
-        alive = self.energy_state.alive()
-        delays = {d: self._bs_delay(d) for d in alive}
-        participants = tuple(d for d in alive if can_connect(self.config.link, delays[d]))
-        links = []
-        costs: dict[int, float] = {}
-        for d in alive:
-            links.append((d, BS_NODE_ID, delays[d]))
-            distance = self._energy_distance(self._bs_distance(d))
-            if d in participants:
-                costs[d] = round_energy(
-                    self.config.energy,
-                    self.cycles[d],
-                    distance,
-                    self.payload,
-                    self.train_samples,
-                    self.config.local_epochs,
-                )
-            else:
-                # out of reach: the upload attempt still burns transmit power
-                costs[d] = round_energy(self.config.energy, self.cycles[d], distance, 1.0, 0, 0)
-        groups = ((None, participants),) if participants else ()
-        return groups, links, costs
+    def _groups(self, round_index: int) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
+        """This round's (head, members) groups in aggregation order.
 
-    def _schedule_clustered(self, round_index: int) -> tuple[tuple, list, dict[int, float]]:
-        """DBFL: members upload to their cluster head, heads relay to the
-        base station; clusters whose head has died sit the round out."""
+        CVFL: one headless group of the live devices whose base-station
+        delay clears the cutoff. DBFL: clusters refresh on the head-policy
+        cadence; a cluster whose head has died sits the round out.
+        """
+        alive = self.energy_state.alive()
+        if self.config.kind is ScenarioKind.CVFL:
+            reached = tuple(d for d in alive if can_connect(self.config.link, self._bs_delay(d)))
+            return ((None, reached),) if reached else ()
         if (
             self.assignment is None
             or round_index % self.config.head_policy.reselect_interval_rounds == 0
         ):
             self._refresh_clusters()
         if self.assignment is None:
-            return (), [], {}
-        alive = set(self.energy_state.alive())
+            return ()
         groups = []
-        links = []
-        costs: dict[int, float] = {}
         for cluster in self.assignment.clusters:
             if not cluster.participating:
                 continue
             head = self.heads[cluster.cluster_id]
             members = tuple(sorted(m for m in cluster.member_ids if m in alive))
-            if head not in members:
-                continue
+            if head in members:
+                groups.append((head, members))
+        return tuple(groups)
+
+    def plan_round(self, round_index: int) -> RoundTrace:
+        """Move the mobile devices, schedule the round and charge its energy."""
+        self._move_mobiles()
+        groups = self._groups(round_index)
+        links = []
+        costs: dict[int, float] = {}
+        for head, members in groups:
             for m in members:
-                if m == head:
-                    # head: local training plus aggregation work plus relay to BS
+                epochs = self.config.local_epochs
+                if head is None or m == head:
                     distance = self._bs_distance(m)
-                    epochs = self.config.local_epochs + HEAD_AGGREGATION_EPOCHS
                     links.append((m, BS_NODE_ID, self._bs_delay(m)))
+                    if m == head:
+                        # a head aggregates its members before it relays
+                        epochs += HEAD_AGGREGATION_EPOCHS
                 else:
-                    distance = distance_m(self.positions[m], self.positions[head])
-                    epochs = self.config.local_epochs
-                    delay = transmission_delay(
-                        self.config.link, self._moved(m), self.positions[head]
-                    )
-                    links.append((m, head, delay))
+                    node, to = self.nodes[m], self.nodes[head].pos
+                    distance = distance_m(node.pos, to)
+                    links.append((m, head, transmission_delay(self.config.link, node, to)))
                 costs[m] = round_energy(
                     self.config.energy,
                     self.cycles[m],
@@ -270,16 +249,14 @@ class _Network:
                         self.config.energy, self.cycles[m], 0.0, 0.0,
                         self.train_samples, self.config.data.ae_epochs,
                     )
-            groups.append((head, members))
-        return tuple(groups), links, costs
-
-    def plan_round(self, round_index: int) -> RoundTrace:
-        """Move the mobile devices, schedule the round and charge its energy."""
-        self._move_mobiles()
         if self.config.kind is ScenarioKind.CVFL:
-            groups, links, costs = self._schedule_direct()
-        else:
-            groups, links, costs = self._schedule_clustered(round_index)
+            # out of reach: the upload attempt still burns transmit power
+            for d in self.energy_state.alive():
+                if d in costs:
+                    continue
+                links.append((d, BS_NODE_ID, self._bs_delay(d)))
+                distance = self._energy_distance(self._bs_distance(d))
+                costs[d] = round_energy(self.config.energy, self.cycles[d], distance, 1.0, 0, 0)
         self.energy_state, charges = apply_round(self.energy_state, costs)
         return RoundTrace(
             round_index,

@@ -44,7 +44,7 @@ AWKWARD = st.sampled_from([NAN, INF, -INF, 0, 0.0, -1, -0.5, 1e308]) | st.floats
 # a small, quickly learnable data plan: one round of each kind takes a blink
 SMALL_DATA = {
     "task": "blobs",
-    "partition": {"devices": 5, "samples_per_device": 40, "strategy": "coverage"},
+    "partition": {"samples_per_device": 40, "strategy": "coverage"},
     "test_samples": 40,
     "ae_epochs": 1,
 }

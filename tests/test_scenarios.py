@@ -250,7 +250,7 @@ def test_mobile_devices_stay_near_home():
         network.plan_round(round_index)
     homes = {d.id: d.pos for d in cfg.devices}
     for d in cfg.devices:
-        pos = network.positions[d.id]
+        pos = network.nodes[d.id].pos
         dist = np.hypot(pos.x - homes[d.id].x, pos.y - homes[d.id].y)
         if d.mobile:
             assert dist <= 8.0 + 1e-9
