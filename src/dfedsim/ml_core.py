@@ -10,6 +10,11 @@ deterministic for a given config seed; minibatch shuffling depends only on
 devices train in one stacked SGD pass, and each comes out bit for bit as
 if it had trained alone. The parameter arrays of every network the
 trainers return are read-only, so callers may share one.
+
+Both trainers run one fit path, `_fit`: it checks the configs and rows,
+takes the scales, starts each network, runs `_sgd` and hands each trained
+network to the trainer's finishing step, which folds the classifier and
+splits the autoencoder into its encoder and decoder.
 """
 
 from __future__ import annotations
@@ -111,14 +116,23 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def predict_proba(net: DenseNetwork, features: np.ndarray) -> np.ndarray:
-    """Class probabilities: softmax over the network's final outputs."""
-    return softmax(net.forward(features))
+    """Class probabilities: softmax over the network's final outputs. A
+    network with finite parameters can still have outputs past the float
+    range, and then it has diverged."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = softmax(net.forward(features))
+    if not np.all(np.isfinite(probs)):
+        raise TrainingDiverged("training diverged: network outputs leave the float range")
+    return probs
 
 
 def cross_entropy(net: DenseNetwork, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy treating the network output as logits."""
     logits = net.forward(features)
-    y = np.asarray(labels).astype(int)
+    y = np.asarray(labels)
+    if y.size and (y.min() < 0 or y.max() >= logits.shape[1]):
+        raise ValueError(f"labels must lie in [0, {logits.shape[1]})")
+    y = y.astype(int)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(logits.shape[0]), y]
@@ -332,19 +346,6 @@ def feature_scale(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where(std == 0.0, 1.0, std)
 
 
-def _input_scales(
-    xs: list[np.ndarray],
-    scales: list[tuple[np.ndarray, np.ndarray]] | None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (mean, std) that each device's rows are standardized with."""
-    if scales is None:
-        return [feature_scale(x) for x in xs]
-    for x, (mean, std) in zip(xs, scales, strict=True):
-        if mean.shape != (x.shape[1],) or std.shape != (x.shape[1],):
-            raise DimensionMismatch("scales need one mean and one std per feature column")
-    return list(scales)
-
-
 def _fold_input_transform(net: DenseNetwork, mean: np.ndarray, std: np.ndarray) -> DenseNetwork:
     # Rewrite layer 0 so the net consumes raw features: W' = W/std, b' = b - W (mean/std).
     first = net.layers[0]
@@ -422,9 +423,71 @@ def _read_only(net: DenseNetwork) -> DenseNetwork:
     return net
 
 
-def _shared_hyperparameters(configs: list) -> None:
+def _fit(name, config, features, labels, init, scales, shape, finish):
+    """The one fit path of both trainers, in their single or list form;
+    ``labels`` None fits an autoencoder.
+
+    ``shape(config)`` gives the layer widths, activations and minibatch
+    size. Device d starts from a Glorot draw of ``substream(seed,
+    f"{name}-init")`` or from ``init[d]`` unfolded onto its standardized
+    input, shuffles by ``f"{name}-shuffle"`` and comes back as
+    ``finish(trained, mean, std)``. Every check runs before training, so
+    that only a step past the float range is a `TrainingDiverged`.
+    """
+    single = isinstance(config, (ClassifierConfig, AutoencoderConfig))
+    if single:
+        config, features, init = [config], [features], [init]
+        labels = None if labels is None else [labels]
+        scales = None if scales is None else [scales]
+    configs, inits = config, init or [None] * len(config)
     if len({replace(c, seed=0) for c in configs}) != 1:
         raise ValueError("stacked devices must share every hyperparameter but the seed")
+    dims, acts, batch_size = shape(configs[0])
+    xs = [_as_matrix(x, dims[0]) for x in features]
+    if len(xs) != len(configs):
+        raise ValueError(f"{len(configs)} configs but {len(xs)} sample matrices")
+    if any(x.shape[0] == 0 for x in xs):
+        raise EmptyDataset("training needs at least one sample")
+    ys = None
+    if labels is not None:
+        ys = [np.asarray(y).astype(int) for y in labels]
+        for x, y in zip(xs, ys, strict=True):
+            if y.shape[0] != x.shape[0]:
+                raise DimensionMismatch(f"{x.shape[0]} samples but {y.shape[0]} labels")
+            if y.min() < 0 or y.max() >= dims[-1]:
+                raise ValueError(f"labels must lie in [0, {dims[-1]})")
+    if scales is None:
+        scales = [feature_scale(x) for x in xs]
+    for x, (mean, std) in zip(xs, scales, strict=True):
+        if mean.shape != (x.shape[1],) or std.shape != (x.shape[1],):
+            raise DimensionMismatch("scales need one mean and one std per feature column")
+
+    nets = []
+    for cfg, net, (mean, std) in zip(configs, inits, scales, strict=True):
+        if net is None:
+            nets.append(glorot_init(dims, acts, substream(cfg.seed, f"{name}-init")))
+        elif net.input_dim != dims[0] or net.output_dim != dims[-1]:
+            raise DimensionMismatch("init network does not match the config dimensions")
+        else:
+            nets.append(_unfold_input_transform(net, mean, std))
+    try:
+        # a step past the float range shows as a non-finite parameter
+        with np.errstate(over="ignore", invalid="ignore"):
+            trained = _sgd(
+                nets, xs, scales, ys,
+                configs[0].epochs, configs[0].learning_rate, batch_size,
+                [cfg.seed for cfg in configs], f"{name}-shuffle",
+            )
+            fitted = [finish(net, mean, std) for net, (mean, std) in zip(trained, scales)]
+    except ValueError as exc:  # DenseNetwork rejects a non-finite parameter
+        raise TrainingDiverged(f"training diverged: {exc}") from exc
+    return fitted[0] if single else fitted
+
+
+def _classifier_shape(c: ClassifierConfig) -> tuple[list[int], list[str], int]:
+    hidden = [c.hidden_units] if c.hidden_units > 0 else []
+    acts = ["relu"] * len(hidden) + ["linear"]
+    return [c.input_dim, *hidden, c.num_classes], acts, c.batch_size
 
 
 def train_classifier(
@@ -448,58 +511,21 @@ def train_classifier(
     lists ``feature_scale(features[d])`` of each device, computed earlier
     by a caller that trains the same rows again (one pair for one config).
     """
-    single = isinstance(config, ClassifierConfig)
-    if single:
-        configs, features, labels, inits = [config], [features], [labels], [init]
-        scales = None if scales is None else [scales]
-    else:
-        configs, inits = config, init or [None] * len(config)
-    _shared_hyperparameters(configs)
-    config = configs[0]
-    xs, ys = [], []
-    for x, y in zip(features, labels, strict=True):
-        x = _as_matrix(x, config.input_dim)
-        y = np.asarray(y).astype(int)
-        if x.shape[0] == 0:
-            raise EmptyDataset("training needs at least one sample")
-        if y.shape[0] != x.shape[0]:
-            raise DimensionMismatch(f"{x.shape[0]} samples but {y.shape[0]} labels")
-        if y.min() < 0 or y.max() >= config.num_classes:
-            raise ValueError(f"labels must lie in [0, {config.num_classes})")
-        xs.append(x)
-        ys.append(y)
-    scales = _input_scales(xs, scales)
+    return _fit(
+        "classifier", config, features, labels, init, scales, _classifier_shape,
+        lambda net, mean, std: _read_only(_fold_input_transform(net, mean, std)),
+    )
 
-    nets = []
-    for cfg, net, (mean, std) in zip(configs, inits, scales, strict=True):
-        if net is None:
-            if config.hidden_units > 0:
-                dims = [config.input_dim, config.hidden_units, config.num_classes]
-                acts = ["relu", "linear"]
-            else:
-                dims = [config.input_dim, config.num_classes]
-                acts = ["linear"]
-            nets.append(glorot_init(dims, acts, substream(cfg.seed, "classifier-init")))
-        else:
-            if net.input_dim != config.input_dim or net.output_dim != config.num_classes:
-                raise DimensionMismatch("init network does not match the config dimensions")
-            nets.append(_unfold_input_transform(net, mean, std))
 
-    try:
-        # a step past the float range shows as a non-finite parameter
-        with np.errstate(over="ignore", invalid="ignore"):
-            trained = _sgd(
-                nets, xs, scales, ys,
-                config.epochs, config.learning_rate, config.batch_size,
-                [cfg.seed for cfg in configs], "classifier-shuffle",
-            )
-            folded = [
-                _read_only(_fold_input_transform(net, mean, std))
-                for net, (mean, std) in zip(trained, scales)
-            ]
-    except ValueError as exc:  # DenseNetwork rejects a non-finite parameter
-        raise TrainingDiverged(f"training diverged: {exc}") from exc
-    return folded[0] if single else folded
+def _split_autoencoder(
+    net: DenseNetwork, mean: np.ndarray, std: np.ndarray
+) -> tuple[DenseNetwork, DenseNetwork]:
+    enc_layer, dec_layer = net.layers
+    encoder = _fold_input_transform(DenseNetwork([enc_layer]), mean, std)
+    # Un-standardize the decoder output: x_raw = std * x_std + mean.
+    dec_w, dec_b = dec_layer.weights * std[:, np.newaxis], dec_layer.bias * std + mean
+    decoder = DenseNetwork([Layer(dec_w, dec_b)])
+    return _read_only(encoder), _read_only(decoder)
 
 
 def train_autoencoder(
@@ -516,46 +542,9 @@ def train_autoencoder(
     device in one stacked pass, as `train_classifier` does, and returns
     their (encoder, decoder) pairs.
     """
-    single = isinstance(config, AutoencoderConfig)
-    if single:
-        configs, features = [config], [features]
-        scales = None if scales is None else [scales]
-    else:
-        configs = config
-    _shared_hyperparameters(configs)
-    config = configs[0]
-    xs = [_as_matrix(x, config.input_dim) for x in features]
-    if len(xs) != len(configs):
-        raise ValueError(f"{len(configs)} configs but {len(xs)} sample matrices")
-    if any(x.shape[0] == 0 for x in xs):
-        raise EmptyDataset("training needs at least one sample")
-    scales = _input_scales(xs, scales)
-
-    nets = [
-        glorot_init(
-            [config.input_dim, config.latent_dim, config.input_dim],
-            ["sigmoid", "linear"],
-            substream(cfg.seed, "autoencoder-init"),
-        )
-        for cfg in configs
-    ]
-    pairs = []
-    try:
-        # a step past the float range shows as a non-finite parameter
-        with np.errstate(over="ignore", invalid="ignore"):
-            trained = _sgd(
-                nets, xs, scales, None,
-                config.epochs, config.learning_rate, AUTOENCODER_BATCH_SIZE,
-                [cfg.seed for cfg in configs], "autoencoder-shuffle",
-            )
-            for net, (mean, std) in zip(trained, scales):
-                enc_layer, dec_layer = net.layers
-                encoder = _fold_input_transform(DenseNetwork([enc_layer]), mean, std)
-                # Un-standardize the decoder output: x_raw = std * x_std + mean.
-                dec_w = dec_layer.weights * std[:, np.newaxis]
-                dec_b = dec_layer.bias * std + mean
-                decoder = DenseNetwork([Layer(dec_w, dec_b, "linear")])
-                pairs.append((_read_only(encoder), _read_only(decoder)))
-    except ValueError as exc:  # DenseNetwork rejects a non-finite parameter
-        raise TrainingDiverged(f"training diverged: {exc}") from exc
-    return pairs[0] if single else pairs
+    return _fit(
+        "autoencoder", config, features, None, None, scales,
+        lambda c: ([c.input_dim, c.latent_dim, c.input_dim], ["sigmoid", "linear"],
+                   AUTOENCODER_BATCH_SIZE),
+        _split_autoencoder,
+    )

@@ -61,8 +61,17 @@ LEARNING_FIELDS = ("hidden_units", "local_epochs", "batch_size", "learning_rate"
 LEARNING_PATHS = [
     p for p in sorted(_numeric_paths(SMALL_DICT), key=repr) if p[0] in LEARNING_FIELDS
 ]
-# one and two are the smallest sizes, 0.999 the largest probe fraction
-LEARNING_VALUES = AWKWARD | st.sampled_from([1, 2, 0.999])
+# one and two are the smallest sizes, 0.999 the largest probe fraction.
+# Sizes from 16 to 32 fit nearly every size leaf and rates from 0.01 to 0.5
+# every rate leaf, so that most examples build, and a learning rate of 1e100
+# or more makes the trained parameters or their outputs overflow.
+LEARNING_VALUES = (
+    AWKWARD
+    | st.sampled_from([1, 2, 0.999])
+    | st.integers(25, 32)
+    | st.sampled_from([16, 25, 32])
+    | st.sampled_from([0.01, 0.1, 0.5, 1e100, 1e200, 1e300])
+)
 
 
 def _edited(base, edits):

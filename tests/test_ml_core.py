@@ -1,9 +1,11 @@
 """Network training, gradients vs finite differences, and read-only results."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dfedsim.errors import DimensionMismatch, EmptyDataset
+from dfedsim.errors import DimensionMismatch, EmptyDataset, TrainingDiverged
 from dfedsim.ml_core import (
     AutoencoderConfig,
     ClassifierConfig,
@@ -106,6 +108,17 @@ def test_cross_entropy_gradient_loss_equals_cross_entropy_exactly():
         assert value == cross_entropy(net, x, labels), trial
 
 
+def test_cross_entropy_rejects_labels_out_of_range_as_loss_gradients_does():
+    net = random_net(np.random.default_rng(519), dims=[4, 5, 3])
+    x = np.random.default_rng(520).normal(size=(6, 4))
+    for label in (-1, 3):
+        labels = np.array([0, 1, 2, 0, 1, label])
+        for loss in (lambda: cross_entropy(net, x, labels),
+                     lambda: loss_gradients(net, x, labels, loss="cross_entropy")):
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+                loss()
+
+
 def test_mse_gradients_match_finite_differences():
     rng = np.random.default_rng(502)
     for trial in range(12):
@@ -139,6 +152,14 @@ def test_probability_rows_sum_to_one():
         x = rng.normal(size=(int(rng.integers(1, 8)), net.input_dim)) * 5.0
         probs = predict_proba(net, x)
         check_probability_matrix(probs, tol=1e-9)
+
+
+def test_outputs_past_the_float_range_are_a_divergence():
+    # every parameter is finite, but the logits are not
+    net = DenseNetwork([Layer(np.full((2, 3), 1e200), np.zeros(2))])
+    with pytest.raises(TrainingDiverged, match="^training diverged: "):
+        predict_proba(net, np.full((4, 3), 1e200))
+    assert np.all(predict_proba(net, np.zeros((4, 3))) == 0.5)
 
 
 def test_check_probability_matrix_rejects_bad_rows():
@@ -266,6 +287,74 @@ def test_train_classifier_error_contracts():
         ClassifierConfig(input_dim=0)
     with pytest.raises(ValueError):
         ClassifierConfig(input_dim=3, learning_rate=0.0)
+
+
+# the trainer contract, pinned for the single and the stacked form of both
+# trainers: a stacked call trains two devices that differ only in the seed
+CONTRACT_CLASSIFIER = ClassifierConfig(input_dim=4, hidden_units=5, num_classes=3, batch_size=8)
+CONTRACT_AUTOENCODER = AutoencoderConfig(input_dim=4, latent_dim=2, epochs=3)
+
+
+def _classify(stacked, x, y, init=None, **changes):
+    cfg = replace(CONTRACT_CLASSIFIER, **changes)
+    if not stacked:
+        return train_classifier(cfg, x, y, init)
+    inits = None if init is None else [init, init]
+    return train_classifier([cfg, replace(cfg, seed=1)], [x, x], [y, y], inits)
+
+
+def _encode(stacked, x, **changes):
+    cfg = replace(CONTRACT_AUTOENCODER, **changes)
+    if not stacked:
+        return train_autoencoder(cfg, x)
+    return train_autoencoder([cfg, replace(cfg, seed=1)], [x, x])
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_classifier_contract_in_both_forms(stacked):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(24, 4))
+    y = rng.integers(0, 3, size=24)
+    _classify(stacked, x, y, learning_rate=1e10)  # huge, but every step stays finite
+    with pytest.raises(TrainingDiverged):
+        _classify(stacked, x, y, learning_rate=1e300)
+    with pytest.raises(EmptyDataset):
+        _classify(stacked, x[:0], y[:0])
+    with pytest.raises(DimensionMismatch):
+        _classify(stacked, x[:, :3], y)
+    with pytest.raises(DimensionMismatch):
+        _classify(stacked, x, y[:-1])
+    for wrong in ([5, 5, 3], [4, 5, 2]):
+        init = glorot_init(wrong, ["relu", "linear"], substream(0, "contract"))
+        with pytest.raises(DimensionMismatch):
+            _classify(stacked, x, y, init)
+    for label in (-1, 3):
+        with pytest.raises(ValueError):
+            _classify(stacked, x, np.where(np.arange(24) == 5, label, y))
+    if stacked:
+        with pytest.raises(ValueError):
+            train_classifier(
+                [CONTRACT_CLASSIFIER, replace(CONTRACT_CLASSIFIER, seed=1, epochs=2)],
+                [x, x], [y, y],
+            )
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_autoencoder_contract_in_both_forms(stacked):
+    x = np.random.default_rng(22).normal(size=(24, 4))
+    _encode(stacked, x, learning_rate=1e10)  # huge, but every step stays finite
+    with pytest.raises(TrainingDiverged):
+        _encode(stacked, x, learning_rate=1e300)
+    with pytest.raises(EmptyDataset):
+        _encode(stacked, x[:0])
+    with pytest.raises(DimensionMismatch):
+        _encode(stacked, x[:, :3])
+    if stacked:
+        with pytest.raises(ValueError):
+            train_autoencoder(
+                [CONTRACT_AUTOENCODER, replace(CONTRACT_AUTOENCODER, seed=1, latent_dim=3)],
+                [x, x],
+            )
 
 
 def test_autoencoder_output_dimensions():
