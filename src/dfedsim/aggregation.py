@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset
-from .ml_core import ClassifierConfig, DenseNetwork, predict_proba, train_classifier
+from .ml_core import ClassifierConfig, DenseNetwork, _check_labels, predict_proba, train_classifier
 
 ADAPTIVE_GRID_STEP = 0.05
 ADAPTIVE_MAX_SWEEPS = 50
@@ -69,8 +69,7 @@ def _labelled_stack(probs: Sequence[np.ndarray], labels) -> tuple[np.ndarray, np
         raise DimensionMismatch(f"{stack.shape[1]} probe rows, labels of shape {y.shape}")
     if not y.size:
         raise EmptyDataset("no labelled probe rows to fit on")
-    if y.min() < 0 or y.max() >= stack.shape[2]:
-        raise ValueError(f"labels must lie in [0, {stack.shape[2]})")
+    _check_labels(y, stack.shape[2])
     return stack, y
 
 

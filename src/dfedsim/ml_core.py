@@ -14,7 +14,9 @@ trainers return are read-only, so callers may share one.
 Both trainers run one fit path, `_fit`: it checks the configs and rows,
 takes the scales, starts each network, runs `_sgd` and hands each trained
 network to the trainer's finishing step, which folds the classifier and
-splits the autoencoder into its encoder and decoder.
+splits the autoencoder into its encoder and decoder. Scoring and training
+run one forward pass, `_forward`, on a stack of networks (a lone network
+is a stack of one), and `cross_entropy` is the loss of `loss_gradients`.
 """
 
 from __future__ import annotations
@@ -77,10 +79,8 @@ class DenseNetwork:
         return self.layers[-1].weights.shape[0]
 
     def forward(self, features: np.ndarray) -> np.ndarray:
-        out = _as_matrix(features, self.input_dim)
-        for layer in self.layers:
-            out = _activate(out @ layer.weights.T + layer.bias, layer.activation)
-        return out
+        x = _as_matrix(features, self.input_dim)
+        return _forward(_NetworkStack.of([self]), x[np.newaxis])[-1][0]
 
 
 def _as_matrix(features: np.ndarray, expected_dim: int) -> np.ndarray:
@@ -108,6 +108,12 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
+def _check_labels(labels: np.ndarray, classes: int) -> None:
+    """Raise unless every label is a class index in [0, classes)."""
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ValueError(f"labels must lie in [0, {classes})")
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -127,16 +133,9 @@ def predict_proba(net: DenseNetwork, features: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(net: DenseNetwork, features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy treating the network output as logits."""
-    logits = net.forward(features)
-    y = np.asarray(labels)
-    if y.size and (y.min() < 0 or y.max() >= logits.shape[1]):
-        raise ValueError(f"labels must lie in [0, {logits.shape[1]})")
-    y = y.astype(int)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(logits.shape[0]), y]
-    return float(np.mean(log_norm - picked))
+    """Mean softmax cross-entropy treating the network output as logits:
+    the loss that `loss_gradients` returns."""
+    return loss_gradients(net, features, labels)[1]
 
 
 @dataclass
@@ -181,6 +180,17 @@ class _NetworkStack:
         ]
 
 
+def _forward(stack: _NetworkStack, x: np.ndarray) -> list[np.ndarray]:
+    """The one forward pass of scoring and training: the input ``x``, (D,
+    rows, in) with one block of rows per network, and each layer's output."""
+    post = [x]
+    for w, b, act in zip(stack.weights, stack.biases, stack.activations):
+        out = post[-1] @ w.transpose(0, 2, 1)
+        out += b[:, np.newaxis, :]
+        post.append(_activate(out, act))
+    return post
+
+
 def loss_gradients(
     net: DenseNetwork | _NetworkStack,
     features: np.ndarray,
@@ -209,11 +219,7 @@ def loss_gradients(
             )
     else:
         x = _as_matrix(features, net.input_dim)
-        net = _NetworkStack(
-            [layer.weights[np.newaxis] for layer in net.layers],
-            [layer.bias[np.newaxis] for layer in net.layers],
-            [layer.activation for layer in net.layers],
-        )
+        net = _NetworkStack.of([net])
     rows = x.shape[:-1]
     n = rows[-1]
     if n == 0:
@@ -222,8 +228,7 @@ def loss_gradients(
         t = np.asarray(target)
         if t.shape != rows:
             raise DimensionMismatch(f"expected labels of shape {rows}, got shape {t.shape}")
-        if t.min() < 0 or t.max() >= net.output_dim:
-            raise ValueError(f"labels must lie in [0, {net.output_dim})")
+        _check_labels(t, net.output_dim)
         t = t.astype(int, copy=False)
     elif loss == "mse":
         t = np.asarray(target, dtype=np.float64)
@@ -236,16 +241,10 @@ def loss_gradients(
     if not stacked:
         x, t = x[np.newaxis], t[np.newaxis]
 
-    post = [x]  # the input and each layer's activated output
-    out = x
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        out = out @ w.transpose(0, 2, 1)
-        out += b[:, np.newaxis, :]
-        out = _activate(out, act)
-        post.append(out)
-
+    post = _forward(net, x)
+    out = post[-1]
     if loss == "cross_entropy":
-        # softmax(out) and the loss of `cross_entropy`, sharing terms
+        # softmax(out) and its mean cross-entropy, sharing terms
         shifted = out - out.max(axis=2, keepdims=True)
         delta = np.exp(shifted)
         norm = delta.sum(axis=2, keepdims=True)
@@ -454,8 +453,7 @@ def _fit(name, config, features, labels, init, scales, shape, finish):
         for x, y in zip(xs, ys, strict=True):
             if y.shape[0] != x.shape[0]:
                 raise DimensionMismatch(f"{x.shape[0]} samples but {y.shape[0]} labels")
-            if y.min() < 0 or y.max() >= dims[-1]:
-                raise ValueError(f"labels must lie in [0, {dims[-1]})")
+            _check_labels(y, dims[-1])
     if scales is None:
         scales = [feature_scale(x) for x in xs]
     for x, (mean, std) in zip(xs, scales, strict=True):

@@ -19,6 +19,7 @@ from dfedsim.ml_core import (
     train_classifier,
 )
 from dfedsim.rngs import substream
+from test_stacked_sgd import loss_gradients as reference_loss_gradients
 
 
 def check_probability_matrix(probs: np.ndarray, tol: float = 1e-9) -> None:
@@ -33,15 +34,6 @@ def check_probability_matrix(probs: np.ndarray, tol: float = 1e-9) -> None:
         raise ValueError(f"row sums deviate from 1 by up to {deviation.max():.3g}")
 
 
-def mean_squared_error(net: DenseNetwork, features: np.ndarray, targets: np.ndarray) -> float:
-    """Mean over all entries of the squared reconstruction error."""
-    out = net.forward(features)
-    t = np.asarray(targets, dtype=np.float64)
-    if t.shape != out.shape:
-        raise DimensionMismatch(f"target shape {t.shape} != output shape {out.shape}")
-    return float(np.mean((out - t) ** 2))
-
-
 def random_net(rng, dims=None, final="linear"):
     if dims is None:
         depth = int(rng.integers(1, 4))
@@ -50,27 +42,32 @@ def random_net(rng, dims=None, final="linear"):
     return glorot_init(dims, acts, rng)
 
 
+def reference_loss(net, x, target, loss="cross_entropy"):
+    """The loss of the per-layer reference routine, which shares no code
+    with `ml_core`'s forward pass or its softmax cross-entropy."""
+    return reference_loss_gradients(net, x, target, loss)[1]
+
+
 def numeric_grads(net, x, target, loss, h=1e-6):
-    """Central finite differences of the forward-only loss."""
-    loss_fn = cross_entropy if loss == "cross_entropy" else mean_squared_error
+    """Central finite differences of the reference loss."""
     out = []
     for layer in net.layers:
         gw = np.zeros_like(layer.weights)
         for idx in np.ndindex(*layer.weights.shape):
             orig = layer.weights[idx]
             layer.weights[idx] = orig + h
-            up = loss_fn(net, x, target)
+            up = reference_loss(net, x, target, loss)
             layer.weights[idx] = orig - h
-            down = loss_fn(net, x, target)
+            down = reference_loss(net, x, target, loss)
             layer.weights[idx] = orig
             gw[idx] = (up - down) / (2 * h)
         gb = np.zeros_like(layer.bias)
         for idx in range(layer.bias.shape[0]):
             orig = layer.bias[idx]
             layer.bias[idx] = orig + h
-            up = loss_fn(net, x, target)
+            up = reference_loss(net, x, target, loss)
             layer.bias[idx] = orig - h
-            down = loss_fn(net, x, target)
+            down = reference_loss(net, x, target, loss)
             layer.bias[idx] = orig
             gb[idx] = (up - down) / (2 * h)
         out.append((gw, gb))
@@ -105,7 +102,9 @@ def test_cross_entropy_gradient_loss_equals_cross_entropy_exactly():
         x = rng.normal(size=(n, net.input_dim))
         labels = rng.integers(0, net.output_dim, size=n)
         _, value = loss_gradients(net, x, labels, loss="cross_entropy")
-        assert value == cross_entropy(net, x, labels), trial
+        want = reference_loss(net, x, labels)
+        assert value == want, trial
+        assert cross_entropy(net, x, labels) == want, trial
 
 
 def test_cross_entropy_rejects_labels_out_of_range_as_loss_gradients_does():
@@ -117,6 +116,11 @@ def test_cross_entropy_rejects_labels_out_of_range_as_loss_gradients_does():
                      lambda: loss_gradients(net, x, labels, loss="cross_entropy")):
             with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
                 loss()
+    empty, no_labels = np.zeros((0, 4)), np.zeros(0, dtype=int)
+    for loss in (lambda: cross_entropy(net, empty, no_labels),
+                 lambda: loss_gradients(net, empty, no_labels, loss="cross_entropy")):
+        with pytest.raises(EmptyDataset):
+            loss()
 
 
 def test_mse_gradients_match_finite_differences():
